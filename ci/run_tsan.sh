@@ -1,7 +1,7 @@
 #!/bin/sh
 # Builds with ThreadSanitizer and runs the concurrency-labelled tests —
-# the parallel trace decode must be data-race-free, not just
-# deterministic by luck. Usage: ci/run_tsan.sh [build-dir]
+# the parallel trace decode and the LiveAnalyzer's snapshot-vs-ingest
+# locking must be data-race-free, not just deterministic by luck. Usage: ci/run_tsan.sh [build-dir]
 set -eu
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
@@ -15,6 +15,6 @@ cmake --build "$build" -j "$(nproc)" --target \
       core_consumer_shard_test core_batching_sink_test \
       core_shm_crash_test core_shm_session_test \
       daemon_test daemon_crash_test trace_format_v3_test \
-      replay_test daemon_storage_test
+      replay_test daemon_storage_test analysis_streaming_test
 cd "$build"
 ctest -L concurrent --output-on-failure

@@ -42,37 +42,50 @@ StreamEngine::StreamEngine(StreamEngineConfig config,
     : config_(config), monitors_(std::move(monitors)) {}
 
 void StreamEngine::addFold(std::unique_ptr<Fold> fold) {
+  const Route route{fold.get(), fold->majorMask()};
+  if (fold->needsMergedOrder()) {
+    mergedFolds_.push_back(route);
+    mergedMask_ |= route.mask;
+  } else {
+    perProcessorFolds_.push_back(route);
+  }
   folds_.push_back(std::move(fold));
 }
 
 StreamEngine::Window* StreamEngine::windowFor(uint64_t index) {
   auto [it, inserted] = windows_.try_emplace(index);
-  if (inserted) {
-    it->second.index = index;
-    // A window created below the watermark (a straggler processor's first
-    // buffer) is already complete — its end has been passed.
-    if (finished_ || (index + 1) * config_.windowTicks <= watermark_) {
-      it->second.complete = true;
-      ++windowsCompleted_;
-    }
-    while (windows_.size() > config_.maxWindows) {
-      const auto oldest = windows_.begin();
-      prunedBelow_ = oldest->first + 1;
-      windows_.erase(oldest);
-    }
+  if (!inserted) return &it->second;
+  windowsAdded_ = true;
+  it->second.index = index;
+  // A window created below the watermark (a straggler processor's first
+  // buffer) is already complete — its end has been passed.
+  if (finished_ || (index + 1) * config_.windowTicks <= watermark_) {
+    it->second.complete = true;
+    ++windowsCompleted_;
   }
-  return &it->second;
+  bool agedOut = false;
+  while (windows_.size() > config_.maxWindows) {
+    const auto oldest = windows_.begin();
+    prunedBelow_ = oldest->first + 1;
+    agedOut = agedOut || oldest == it;
+    windows_.erase(oldest);
+    for (ProcTick& proc : procs_) proc.windowEnd = 0;  // empty range
+  }
+  // The new window may itself be the oldest: it aged out at once.
+  return agedOut ? nullptr : &it->second;
 }
 
-void StreamEngine::advanceWatermark() {
-  if (procLastTick_.empty()) return;
-  uint64_t wm = UINT64_MAX;
-  for (const auto& [p, tick] : procLastTick_) wm = std::min(wm, tick);
-  watermark_ = wm;
+void StreamEngine::completeWindows() {
+  windowsAdded_ = false;
+  nextWindowEnd_ = UINT64_MAX;
   if (config_.windowTicks == 0) return;
   for (auto it = windows_.lower_bound(completedBelow_); it != windows_.end();
        ++it) {
-    if ((it->first + 1) * config_.windowTicks > watermark_) break;
+    const uint64_t end = (it->first + 1) * config_.windowTicks;
+    if (end > watermark_) {
+      nextWindowEnd_ = end;
+      break;
+    }
     if (!it->second.complete) {
       it->second.complete = true;
       ++windowsCompleted_;
@@ -81,30 +94,79 @@ void StreamEngine::advanceWatermark() {
   }
 }
 
-void StreamEngine::observe(const DecodedEvent& e) {
-  ++eventsObserved_;
-  const uint64_t tick = e.fullTimestamp;
-  uint64_t& last = procLastTick_[e.processor];
-  if (tick > last) last = tick;
+void StreamEngine::countInWindow(ProcTick& proc, uint32_t processor,
+                                 uint64_t tick) {
+  if (tick >= proc.windowStart && tick < proc.windowEnd) {
+    ++*proc.windowEvents;
+    ++*proc.cpuEvents;
+    return;
+  }
+  const uint64_t index = tick / config_.windowTicks;
+  Window* w = index < prunedBelow_ ? nullptr : windowFor(index);
+  if (w == nullptr) {
+    ++lateEvents_;
+    return;
+  }
+  uint64_t& cpuEvents = w->perProcessor[processor];
+  ++w->events;
+  ++cpuEvents;
+  proc.windowStart = index * config_.windowTicks;
+  proc.windowEnd = proc.windowStart + config_.windowTicks;
+  proc.windowEvents = &w->events;
+  proc.cpuEvents = &cpuEvents;
+}
 
-  Heartbeat hb;
-  if (parseHeartbeat(e, hb)) heartbeats_[e.processor].push_back({tick, hb});
+void StreamEngine::observe(std::span<const DecodedEvent> events) {
+  for (const DecodedEvent& e : events) {
+    ++eventsObserved_;
+    const uint64_t tick = e.fullTimestamp;
+    if (e.processor >= procs_.size()) procs_.resize(e.processor + 1);
+    ProcTick& proc = procs_[e.processor];
+    // The watermark is the minimum over processors of their last tick; it
+    // can change only when a processor appears, or one holding the
+    // minimum moves on (after finish() it is recomputed every time).
+    bool minMayChange = finished_;
+    if (!proc.seen) {
+      proc.seen = true;
+      ++procsSeen_;
+      proc.lastTick = tick;
+      minMayChange = true;
+    } else if (tick > proc.lastTick) {
+      minMayChange = minMayChange || proc.lastTick <= watermark_;
+      proc.lastTick = tick;
+    }
 
-  if (config_.windowTicks != 0) {
-    const uint64_t index = tick / config_.windowTicks;
-    if (index < prunedBelow_) {
-      ++lateEvents_;
-    } else {
-      Window* w = windowFor(index);
-      w->events += 1;
-      w->perProcessor[e.processor] += 1;
+    if (e.header.major == Major::Monitor) {
+      Heartbeat hb;
+      if (parseHeartbeat(e, hb)) heartbeats_[e.processor].push_back({tick, hb});
+    }
+    if (config_.windowTicks != 0) countInWindow(proc, e.processor, tick);
+
+    bool watermarkMoved = false;
+    if (minMayChange) {
+      uint64_t wm = UINT64_MAX;
+      for (const ProcTick& p : procs_) {
+        if (p.seen) wm = std::min(wm, p.lastTick);
+      }
+      watermarkMoved = wm != watermark_;
+      watermark_ = wm;
+    }
+    if (windowsAdded_ || (watermarkMoved && watermark_ >= nextWindowEnd_)) {
+      completeWindows();
+    }
+
+    const uint64_t bit = TraceMask::bit(e.header.major);
+    for (const Route& route : perProcessorFolds_) {
+      if ((route.mask & bit) != 0) route.fold->onEvent(e);
     }
   }
-  advanceWatermark();
 }
 
 void StreamEngine::onOrdered(const DecodedEvent& e) {
-  for (const auto& fold : folds_) fold->onEvent(e);
+  const uint64_t bit = TraceMask::bit(e.header.major);
+  for (const Route& route : mergedFolds_) {
+    if ((route.mask & bit) != 0) route.fold->onEvent(e);
+  }
 }
 
 void StreamEngine::finish() {
@@ -117,9 +179,9 @@ void StreamEngine::finish() {
     }
   }
   if (!windows_.empty()) completedBelow_ = windows_.rbegin()->first + 1;
-  uint64_t wm = watermark_;
-  for (const auto& [p, tick] : procLastTick_) wm = std::max(wm, tick);
-  watermark_ = wm;
+  for (const ProcTick& proc : procs_) {
+    if (proc.seen) watermark_ = std::max(watermark_, proc.lastTick);
+  }
   for (const auto& fold : folds_) fold->finish();
 }
 
@@ -195,7 +257,7 @@ std::string StreamEngine::snapshotJson(const std::string& tenant) const {
       "\"late_events\":%llu,\"windows_completed\":%llu,"
       "\"watermark_tick\":%llu,\"folds\":[",
       name.c_str(), static_cast<unsigned long long>(config_.windowTicks),
-      jsonNumber(config_.ticksPerSecond).c_str(), procLastTick_.size(),
+      jsonNumber(config_.ticksPerSecond).c_str(), procsSeen_,
       static_cast<unsigned long long>(eventsObserved_),
       static_cast<unsigned long long>(lateEvents_),
       static_cast<unsigned long long>(windowsCompleted_),

@@ -9,12 +9,14 @@ namespace ktrace::analysis::streaming {
 
 namespace {
 
-uint64_t chainHash(const std::vector<uint64_t>& chain) {
-  uint64_t h = 0xcbf29ce484222325ull;
-  for (const uint64_t v : chain) {
-    h ^= v;
-    h *= 0x100000001b3ull;
-  }
+uint64_t fnvMix(uint64_t h, uint64_t v) noexcept {
+  return (h ^ v) * 0x100000001b3ull;
+}
+
+uint64_t rowHash(uint64_t lockId, uint64_t pid,
+                 const std::vector<uint64_t>& chain) noexcept {
+  uint64_t h = fnvMix(fnvMix(0xcbf29ce484222325ull, lockId), pid);
+  for (const uint64_t v : chain) h = fnvMix(h, v);
   return h;
 }
 
@@ -35,18 +37,30 @@ bool isInfrastructure(const DecodedEvent& e) noexcept {
 
 // --- LockContentionFold ------------------------------------------------
 
-LockStats& LockContentionFold::rowFor(uint64_t lockId, uint64_t pid,
-                                      const std::vector<uint64_t>& chain) {
-  const auto key = std::make_tuple(lockId, pid, chainHash(chain));
-  const auto it = rowIndex_.find(key);
-  if (it != rowIndex_.end()) return rows_[it->second];
-  rowIndex_.emplace(key, rows_.size());
+size_t LockContentionFold::PairHash::operator()(
+    const std::pair<uint64_t, uint64_t>& key) const noexcept {
+  return static_cast<size_t>(fnvMix(fnvMix(0xcbf29ce484222325ull, key.first),
+                                    key.second));
+}
+
+size_t LockContentionFold::rowFor(uint64_t lockId, uint64_t pid,
+                                  const std::vector<uint64_t>& chain) {
+  const uint64_t h = rowHash(lockId, pid, chain);
+  const auto [first, last] = rowIndex_.equal_range(h);
+  for (auto it = first; it != last; ++it) {
+    const LockStats& row = rows_[it->second];
+    if (row.lockId == lockId && row.pid == pid && row.chain == chain) {
+      return it->second;
+    }
+  }
+  const size_t index = rows_.size();
+  rowIndex_.emplace(h, index);
   LockStats row;
   row.lockId = lockId;
   row.pid = pid;
   row.chain = chain;
   rows_.push_back(std::move(row));
-  return rows_.back();
+  return index;
 }
 
 void LockContentionFold::onEvent(const DecodedEvent& e) {
@@ -59,60 +73,82 @@ void LockContentionFold::onEvent(const DecodedEvent& e) {
 
   switch (minor) {
     case ossim::LockMinor::ContendStart: {
-      PendingContend pending;
-      pending.startTs = e.fullTimestamp;
+      PairState& s = pairs_[key];
+      if (s.contending) {
+        ++unmatchedContends_;
+      } else {
+        s.contending = true;
+        ++pendingContends_;
+      }
+      s.startTs = e.fullTimestamp;
+      s.chain.clear();
       if (e.data.size() >= 3) {
         const uint64_t chainLen =
             std::min<uint64_t>(e.data[2], e.data.size() - 3);
-        pending.chain.assign(
-            e.data.begin() + 3,
-            e.data.begin() + 3 + static_cast<ptrdiff_t>(chainLen));
+        s.chain.assign(e.data.begin() + 3,
+                       e.data.begin() + 3 + static_cast<ptrdiff_t>(chainLen));
       }
-      if (contending_.count(key) != 0) ++unmatchedContends_;
-      contending_[key] = std::move(pending);
       break;
     }
     case ossim::LockMinor::Acquired: {
-      const uint64_t spins = e.data.size() > 2 ? e.data[2] : 0;
-      const auto it = contending_.find(key);
-      if (it != contending_.end()) {
-        LockStats& row = rowFor(lockId, pid, it->second.chain);
-        const uint64_t wait = e.fullTimestamp - it->second.startTs;
+      PairState& s = pairs_[key];
+      if (s.contending) {
+        const uint64_t spins = e.data.size() > 2 ? e.data[2] : 0;
+        const size_t index = rowFor(lockId, pid, s.chain);
+        LockStats& row = rows_[index];
+        const uint64_t wait = e.fullTimestamp - s.startTs;
         row.totalWaitTicks += wait;
         row.maxWaitTicks = std::max(row.maxWaitTicks, wait);
         row.contendedCount += 1;
         row.totalSpins += spins;
-        contending_.erase(it);
+        // Only this row's count moved, so the release target is either
+        // the old one or this row; ties go to the earlier row.
+        if (s.releaseRow == kNoRow) {
+          s.releaseRow = index;
+        } else {
+          const uint64_t best = rows_[s.releaseRow].contendedCount;
+          if (row.contendedCount > best ||
+              (row.contendedCount == best && index < s.releaseRow)) {
+            s.releaseRow = index;
+          }
+        }
+        s.contending = false;
+        --pendingContends_;
       }
-      holding_[key] = PendingHold{e.fullTimestamp};
+      s.holding = true;
+      s.acquireTs = e.fullTimestamp;
       break;
     }
     case ossim::LockMinor::Release: {
-      const auto it = holding_.find(key);
-      if (it != holding_.end()) {
+      const auto it = pairs_.find(key);
+      if (it != pairs_.end() && it->second.holding) {
+        PairState& s = it->second;
         // The release event carries no chain, so fold hold time into the
         // (lock, pid) row with the most contention (display-only detail).
-        LockStats* best = nullptr;
-        for (auto& row : rows_) {
-          if (row.lockId == lockId && row.pid == pid &&
-              (best == nullptr || row.contendedCount > best->contendedCount)) {
-            best = &row;
-          }
+        if (s.releaseRow != kNoRow) {
+          LockStats& row = rows_[s.releaseRow];
+          row.totalHoldTicks += e.fullTimestamp - s.acquireTs;
+          row.releaseCount += 1;
         }
-        if (best != nullptr) {
-          best->totalHoldTicks += e.fullTimestamp - it->second.acquireTs;
-          best->releaseCount += 1;
-        }
-        holding_.erase(it);
+        s.holding = false;
       }
       break;
     }
+    default:
+      break;
   }
 }
 
 void LockContentionFold::finish() {
-  unmatchedContends_ += contending_.size();
-  contending_.clear();
+  unmatchedContends_ += pendingContends_;
+  pendingContends_ = 0;
+  for (auto& [key, s] : pairs_) s.contending = false;
+}
+
+std::vector<LockStats> LockContentionFold::takeRows() noexcept {
+  rowIndex_.clear();
+  for (auto& [key, s] : pairs_) s.releaseRow = kNoRow;
+  return std::move(rows_);
 }
 
 std::string LockContentionFold::summaryJson() const {
@@ -127,14 +163,20 @@ std::string LockContentionFold::summaryJson() const {
       "\"wait_ticks\":%llu,\"unmatched\":%llu}",
       rows_.size(), static_cast<unsigned long long>(count),
       static_cast<unsigned long long>(wait),
-      static_cast<unsigned long long>(unmatchedContends_ + contending_.size()));
+      static_cast<unsigned long long>(unmatchedContends_ + pendingContends_));
 }
 
 // --- EventRateFold -----------------------------------------------------
 
 void EventRateFold::onEvent(const DecodedEvent& e) {
   if (numProcessors_ <= e.processor) numProcessors_ = e.processor + 1;
-  EventTypeStats& s = stats_[typeKey(e.header.major, e.header.minor)];
+  const auto major = static_cast<size_t>(e.header.major);
+  if (major >= byType_.size()) byType_.resize(major + 1);
+  std::vector<EventTypeStats*>& minors = byType_[major];
+  if (e.header.minor >= minors.size()) minors.resize(e.header.minor + 1u);
+  EventTypeStats*& slot = minors[e.header.minor];
+  if (slot == nullptr) slot = &stats_[typeKey(e.header.major, e.header.minor)];
+  EventTypeStats& s = *slot;
   if (s.count == 0) {
     s.major = e.header.major;
     s.minor = e.header.minor;
@@ -224,7 +266,12 @@ void CompletenessFold::closeInterval(ProcState& s, const DecodedEvent& e,
 }
 
 void CompletenessFold::onEvent(const DecodedEvent& e) {
-  ProcState& s = procs_[e.processor];
+  if (e.processor >= byProcessor_.size()) {
+    byProcessor_.resize(e.processor + 1u);
+  }
+  ProcState*& slot = byProcessor_[e.processor];
+  if (slot == nullptr) slot = &procs_[e.processor];
+  ProcState& s = *slot;
   if (!s.sawFirst) {
     s.sawFirst = true;
     s.processor = e.processor;
@@ -254,8 +301,10 @@ void CompletenessFold::onEvent(const DecodedEvent& e) {
   s.prevTick = e.fullTimestamp;
 
   if (isInfrastructure(e)) return;
-  Heartbeat hb;
-  if (parseHeartbeat(e, hb)) closeInterval(s, e, hb);
+  if (e.header.major == Major::Monitor) {
+    Heartbeat hb;
+    if (parseHeartbeat(e, hb)) closeInterval(s, e, hb);
+  }
   ++s.cum;  // heartbeats are logger events too; counted after marking
 }
 

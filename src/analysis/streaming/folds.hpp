@@ -5,20 +5,21 @@
 // so a fold run to EOF over a closed trace is bit-identical to the
 // pre-streaming tools, and the live path shares every line of logic.
 //
-// Ordering contracts:
+// Ordering contracts (Fold::needsMergedOrder, Fold::majorMask):
 //   LockContentionFold   needs exact merged (timestamp, processor) order —
 //                        row creation order and start→acquire matching
-//                        depend on it.
+//                        depend on it. Consumes Lock events only.
 //   EventRateFold        order-insensitive (min/max/sum aggregation).
-//   ProfileFold          order-insensitive (pure histogram).
+//   ProfileFold          order-insensitive (pure histogram); Prof only.
 //   CompletenessFold     needs per-processor relative order only (any
 //                        interleaving across processors is fine — exactly
 //                        what a merged feed preserves).
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <map>
-#include <tuple>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -34,30 +35,47 @@ namespace ktrace::analysis::streaming {
 class LockContentionFold final : public Fold {
  public:
   const char* name() const noexcept override { return "locks"; }
+  bool needsMergedOrder() const noexcept override { return true; }
+  uint64_t majorMask() const noexcept override {
+    return TraceMask::bit(Major::Lock);
+  }
   void onEvent(const DecodedEvent& event) override;
   void finish() override;
   std::string summaryJson() const override;
 
   const std::vector<LockStats>& rows() const noexcept { return rows_; }
   uint64_t unmatchedContends() const noexcept { return unmatchedContends_; }
-  std::vector<LockStats> takeRows() noexcept { return std::move(rows_); }
+  std::vector<LockStats> takeRows() noexcept;
 
  private:
-  struct PendingContend {
+  static constexpr size_t kNoRow = std::numeric_limits<size_t>::max();
+
+  // One state per (lock, pid), created on first sight and never erased,
+  // so a contend→acquire→release cycle reuses it and allocates nothing.
+  struct PairState {
+    bool contending = false;
+    bool holding = false;
     uint64_t startTs = 0;
-    std::vector<uint64_t> chain;
-  };
-  struct PendingHold {
     uint64_t acquireTs = 0;
+    std::vector<uint64_t> chain;  // of the pending contend
+    // Where a release's hold time goes: the first of this pair's rows
+    // with the highest contendedCount (a release carries no chain).
+    size_t releaseRow = kNoRow;
+  };
+  struct PairHash {
+    size_t operator()(const std::pair<uint64_t, uint64_t>& key) const noexcept;
   };
 
-  LockStats& rowFor(uint64_t lockId, uint64_t pid,
-                    const std::vector<uint64_t>& chain);
+  size_t rowFor(uint64_t lockId, uint64_t pid,
+                const std::vector<uint64_t>& chain);
 
-  std::map<std::pair<uint64_t, uint64_t>, PendingContend> contending_;
-  std::map<std::pair<uint64_t, uint64_t>, PendingHold> holding_;
-  std::map<std::tuple<uint64_t, uint64_t, uint64_t>, size_t> rowIndex_;
+  std::unordered_map<std::pair<uint64_t, uint64_t>, PairState, PairHash>
+      pairs_;
+  // Rows by a hash of (lock, pid, chain); a hit is confirmed by comparing
+  // the chain itself, so chains whose hashes collide keep separate rows.
+  std::unordered_multimap<uint64_t, size_t> rowIndex_;
   std::vector<LockStats> rows_;
+  uint64_t pendingContends_ = 0;
   uint64_t unmatchedContends_ = 0;
 };
 
@@ -69,6 +87,12 @@ class EventRateFold final : public Fold {
   /// but events name it anyway).
   explicit EventRateFold(uint32_t numProcessors = 0)
       : numProcessors_(numProcessors) {}
+  // The lookup cache points into stats_: moving carries it along, a copy
+  // would alias the source.
+  EventRateFold(EventRateFold&&) = default;
+  EventRateFold& operator=(EventRateFold&&) = default;
+  EventRateFold(const EventRateFold&) = delete;
+  EventRateFold& operator=(const EventRateFold&) = delete;
 
   const char* name() const noexcept override { return "rates"; }
   void onEvent(const DecodedEvent& event) override;
@@ -81,11 +105,14 @@ class EventRateFold final : public Fold {
     return stats_;
   }
   std::map<uint32_t, EventTypeStats> takeStats() noexcept {
+    byType_.clear();
     return std::move(stats_);
   }
 
  private:
   std::map<uint32_t, EventTypeStats> stats_;
+  // Dense lookup into stats_: [major][minor] -> its node, or null.
+  std::vector<std::vector<EventTypeStats*>> byType_;
   uint64_t totalEvents_ = 0;
   uint64_t totalWords_ = 0;
   uint32_t numProcessors_ = 0;
@@ -95,6 +122,9 @@ class EventRateFold final : public Fold {
 class ProfileFold final : public Fold {
  public:
   const char* name() const noexcept override { return "profile"; }
+  uint64_t majorMask() const noexcept override {
+    return TraceMask::bit(Major::Prof);
+  }
   void onEvent(const DecodedEvent& event) override;
   std::string summaryJson() const override;
 
@@ -121,6 +151,14 @@ class ProfileFold final : public Fold {
 /// analysis field for field.
 class CompletenessFold final : public Fold {
  public:
+  CompletenessFold() = default;
+  // The lookup cache points into procs_: moving carries it along, a copy
+  // would alias the source.
+  CompletenessFold(CompletenessFold&&) = default;
+  CompletenessFold& operator=(CompletenessFold&&) = default;
+  CompletenessFold(const CompletenessFold&) = delete;
+  CompletenessFold& operator=(const CompletenessFold&) = delete;
+
   const char* name() const noexcept override { return "completeness"; }
   void onEvent(const DecodedEvent& event) override;
   void finish() override;
@@ -168,6 +206,7 @@ class CompletenessFold final : public Fold {
                      const Heartbeat& hb);
 
   std::map<uint32_t, ProcState> procs_;
+  std::vector<ProcState*> byProcessor_;  // dense lookup into procs_
   std::vector<CompletenessGap> gaps_;
   std::vector<ProcessorCompleteness> processors_;
   bool hasHeartbeats_ = false;

@@ -1,5 +1,7 @@
 #include "analysis/streaming/live_analyzer.hpp"
 
+#include <algorithm>
+
 #include "analysis/streaming/folds.hpp"
 
 namespace ktrace::analysis::streaming {
@@ -21,10 +23,20 @@ void LiveAnalyzer::ingest(const BufferRecord& record) {
   scratch_.clear();
   decodeBuffer(record.words, record.seq, p, tsBase_[p], scratch_,
                decodeOptions_);
+  if (scratch_.empty()) return;
+  engine_.observe(scratch_);
+  // Only the merged-order folds' majors take the merge. The lane still
+  // advances to the buffer's last tick, so the merge holds back exactly as
+  // long, and buffers as little, as it would with every event queued.
+  const uint64_t mergedMask = engine_.mergedMajorMask();
+  uint64_t lastTick = 0;
   for (DecodedEvent& e : scratch_) {
-    engine_.observe(e);
-    merger_.push(p, std::move(e));
+    lastTick = std::max(lastTick, e.fullTimestamp);
+    if ((mergedMask & TraceMask::bit(e.header.major)) != 0) {
+      merger_.push(p, std::move(e));
+    }
   }
+  merger_.advance(p, p, lastTick);
   while (const DecodedEvent* e = merger_.next()) engine_.onOrdered(*e);
 }
 
@@ -66,6 +78,11 @@ uint64_t LiveAnalyzer::eventsObserved() const {
 uint64_t LiveAnalyzer::windowsCompleted() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return engine_.windowsCompleted();
+}
+
+size_t LiveAnalyzer::mergeBacklog() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return merger_.buffered();
 }
 
 }  // namespace ktrace::analysis::streaming

@@ -2,8 +2,9 @@
 //
 // Sits between a tenant's BatchingSink and its FileSink: every buffer
 // record that is about to become durable is decoded once and fed to a
-// StreamEngine — the unordered plane directly, the ordered plane through
-// an OrderedMerger — then handed to the real sink untouched. Placing the
+// StreamEngine — the per-processor plane directly, the merged plane
+// through an OrderedMerger that carries only the majors a merged-order
+// fold consumes — then handed to the real sink untouched. Placing the
 // tap *downstream* of the batching queue means quota sheds and queue
 // drops never reach the engine, so the live numbers describe exactly the
 // events that land in the files: an offline replay of those files
@@ -48,6 +49,14 @@ class LiveAnalyzer final : public Sink {
 
   uint64_t eventsObserved() const;
   uint64_t windowsCompleted() const;
+  /// Events waiting in the ordering merge for a slower processor.
+  size_t mergeBacklog() const;
+
+  /// The attached folds, in the order listed above. Read them only after
+  /// finish(), once no batch is in flight.
+  const std::vector<std::unique_ptr<Fold>>& folds() const noexcept {
+    return engine_.folds();
+  }
 
  private:
   void ingest(const BufferRecord& record);

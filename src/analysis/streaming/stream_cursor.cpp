@@ -49,13 +49,17 @@ uint64_t fileIdentity(TraceFileReader& reader) {
 
 // --- OrderedMerger -----------------------------------------------------
 
-void OrderedMerger::push(uint32_t lane, DecodedEvent event) {
+void OrderedMerger::advance(uint32_t lane, uint32_t processor, uint64_t tick) {
   if (lane >= lanes_.size()) lanes_.resize(lane + 1);
   Lane& l = lanes_[lane];
   l.seen = true;
-  l.processor = event.processor;
-  if (event.fullTimestamp > l.lastTick) l.lastTick = event.fullTimestamp;
-  l.queue.push_back(std::move(event));
+  l.processor = processor;
+  if (tick > l.lastTick) l.lastTick = tick;
+}
+
+void OrderedMerger::push(uint32_t lane, DecodedEvent&& event) {
+  advance(lane, event.processor, event.fullTimestamp);
+  lanes_[lane].queue.push_back(std::move(event));
   ++buffered_;
 }
 

@@ -61,7 +61,13 @@ class OrderedMerger {
   /// Lane index space is dense [0, lanes); grows on demand.
   explicit OrderedMerger(uint32_t lanes = 0) { lanes_.resize(lanes); }
 
-  void push(uint32_t lane, DecodedEvent event);
+  void push(uint32_t lane, DecodedEvent&& event);
+
+  /// The lane (fed by `processor`) has produced everything up to `tick`,
+  /// including events the caller chose not to push: it counts as seen,
+  /// and its holdback moves on exactly as if they had been pushed.
+  void advance(uint32_t lane, uint32_t processor, uint64_t tick);
+
   void finish() noexcept { finished_ = true; }
 
   /// Next safely-ordered event, or nullptr when none can be released yet

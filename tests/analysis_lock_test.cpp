@@ -64,6 +64,53 @@ TEST_F(LockFixture, SeparateChainsGetSeparateRows) {
   EXPECT_EQ(rows[1].chain, (std::vector<uint64_t>{77}));
 }
 
+TEST_F(LockFixture, ChainsWithCollidingHashesGetSeparateRows) {
+  // [3,4] and [5,6597069772534] have the same 64-bit FNV-1a hash; rows
+  // must be keyed on the chain itself, not on its hash.
+  logAt(100, kContend, {0x42, 7, 2, 3, 4});
+  logAt(200, kAcquired, {0x42, 7, 1, 100});
+  logAt(300, kRelease, {0x42, 7, 100});
+  logAt(400, kContend, {0x42, 7, 2, 5, 6597069772534});
+  logAt(1400, kAcquired, {0x42, 7, 1, 1000});
+  logAt(1500, kRelease, {0x42, 7, 100});
+  const auto trace = hx.collect();
+  LockAnalysis la(trace);
+  const auto rows = la.sorted(LockSortKey::Time);
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(rows[0].chain, (std::vector<uint64_t>{5, 6597069772534}));
+  EXPECT_EQ(rows[0].totalWaitTicks, 1000u);
+  EXPECT_EQ(rows[1].chain, (std::vector<uint64_t>{3, 4}));
+  EXPECT_EQ(rows[1].totalWaitTicks, 100u);
+}
+
+TEST_F(LockFixture, ReleaseHoldTimeTiesGoToTheEarlierRow) {
+  // Two rows of one (lock, pid). A release carries no chain, so its hold
+  // time goes to the first row with the highest contendedCount: while the
+  // counts tie, that is the row created first.
+  logAt(100, kContend, {0x9, 3, 1, 11});
+  logAt(200, kAcquired, {0x9, 3, 1, 100});
+  logAt(250, kRelease, {0x9, 3, 50});
+  logAt(300, kContend, {0x9, 3, 1, 22});
+  logAt(500, kAcquired, {0x9, 3, 1, 200});
+  logAt(800, kRelease, {0x9, 3, 300});  // tie 1:1 -> chain [11]
+  // A second contention on [22] makes it the strict maximum.
+  logAt(900, kContend, {0x9, 3, 1, 22});
+  logAt(1000, kAcquired, {0x9, 3, 1, 100});
+  logAt(1040, kRelease, {0x9, 3, 40});  // 1:2 -> chain [22]
+  const auto trace = hx.collect();
+  LockAnalysis la(trace);
+  const auto rows = la.sorted(LockSortKey::Count);
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(rows[0].chain, (std::vector<uint64_t>{22}));
+  EXPECT_EQ(rows[0].contendedCount, 2u);
+  EXPECT_EQ(rows[0].totalHoldTicks, 40u);
+  EXPECT_EQ(rows[0].releaseCount, 1u);
+  EXPECT_EQ(rows[1].chain, (std::vector<uint64_t>{11}));
+  EXPECT_EQ(rows[1].contendedCount, 1u);
+  EXPECT_EQ(rows[1].totalHoldTicks, 50u + 300u);
+  EXPECT_EQ(rows[1].releaseCount, 2u);
+}
+
 TEST_F(LockFixture, SortKeysSelectDifferentWinners) {
   // Row A: big total wait, few contentions. Row B: small waits, many.
   logAt(100, kContend, {0xA, 1, 1, 10});

@@ -5,15 +5,23 @@
 // post-hoc analyses built from folds are byte-identical to their TraceSet
 // constructors, and that a StreamCursor tailing a *growing* file decodes
 // each record exactly once across flushes and resumes from a saved cursor.
+// The LiveAnalyzer, fed buffers in a mixed-processor arrival order while
+// another thread polls its snapshot, must reach the post-hoc reports and
+// the offline `top` window lines exactly.
 #include "analysis/streaming/engine.hpp"
 
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <filesystem>
+#include <sstream>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "analysis/completeness.hpp"
@@ -21,10 +29,13 @@
 #include "analysis/lock_analysis.hpp"
 #include "analysis/profile.hpp"
 #include "analysis/streaming/folds.hpp"
+#include "analysis/streaming/live_analyzer.hpp"
 #include "analysis/streaming/monitors.hpp"
 #include "analysis/streaming/stream_cursor.hpp"
 #include "core/ktrace.hpp"
+#include "ossim/events.hpp"
 #include "ossim/machine.hpp"
+#include "sim_support.hpp"
 #include "workload/sdet.hpp"
 
 namespace ktrace {
@@ -187,6 +198,32 @@ TEST(StreamEngineTest, PrunedWindowsCountLateEventsWithoutResurrection) {
   EXPECT_EQ(engine.eventsObserved(), 4u);
 }
 
+TEST(StreamEngineTest, WindowOlderThanEveryRetainedOneAgesOutAtOnce) {
+  streaming::StreamEngineConfig cfg;
+  cfg.windowTicks = 10;
+  cfg.ticksPerSecond = 1000;
+  cfg.maxWindows = 2;
+  streaming::StreamEngine engine(cfg);
+
+  engine.observe(makeEvent(0, 55));  // window 5
+  engine.observe(makeEvent(1, 65));  // window 6
+  // Window 3 would be the oldest of three: it is pruned as it is created,
+  // so its event counts as late and nothing is written into it.
+  engine.observe(makeEvent(1, 66));
+  engine.observe(makeEvent(2, 35));
+  engine.observe(makeEvent(0, 56));  // window 5 is still retained
+  engine.finish();
+
+  const std::string snap = engine.snapshotJson("t");
+  EXPECT_NE(snap.find("\"late_events\":1"), std::string::npos) << snap;
+  EXPECT_EQ(snap.find("\"index\":3,"), std::string::npos) << snap;
+  EXPECT_NE(snap.find("\"index\":5,\"start_tick\":50,\"end_tick\":60,"
+                      "\"events\":2,"),
+            std::string::npos)
+      << snap;
+  EXPECT_EQ(engine.eventsObserved(), 5u);
+}
+
 TEST(StreamEngineTest, SnapshotIsArrivalOrderInsensitive) {
   std::vector<DecodedEvent> events;
   events.push_back(makeEvent(0, 10));
@@ -285,6 +322,82 @@ TEST(OrderedMergerTest, TimestampTiesBreakOnProcessor) {
   EXPECT_EQ(e->processor, 7u);
 }
 
+TEST(OrderedMergerTest, AdvanceReleasesWithoutPushingEvents) {
+  streaming::OrderedMerger merger(2);
+  merger.push(0, makeEvent(0, 10));
+  merger.push(1, makeEvent(1, 15));
+  merger.push(0, makeEvent(0, 30));
+  ASSERT_NE(merger.next(), nullptr);  // 10
+  ASSERT_NE(merger.next(), nullptr);  // 15
+  // Lane 1 last showed tick 15: 30 must wait for it.
+  EXPECT_EQ(merger.next(), nullptr);
+  // Lane 1 produced up to tick 40 without handing over any event.
+  merger.advance(1, 1, 40);
+  const DecodedEvent* e = merger.next();
+  ASSERT_NE(e, nullptr);
+  EXPECT_EQ(e->fullTimestamp, 30u);
+  EXPECT_TRUE(merger.drained());
+  // A lane first seen through advance() holds back like any other.
+  merger.advance(2, 2, 50);
+  merger.push(0, makeEvent(0, 60));
+  EXPECT_EQ(merger.next(), nullptr);
+}
+
+TEST(LiveAnalyzerMergeTest, BacklogStaysBoundedWhenOneProcessorStopsLocking) {
+  // Both processors log Lock events, then processor 1 logs only App
+  // events. The merge carries only Lock events, so processor 1's lane must
+  // still advance with every buffer, or processor 0's Lock events would
+  // pile up behind its last Lock event.
+  constexpr uint32_t kWords = 256;
+  ktrace::testing::SimHarness hx(2, kWords, 512);
+  const auto contend =
+      static_cast<uint16_t>(ossim::LockMinor::ContendStart);
+  for (uint64_t i = 0; i < 4000; ++i) {
+    const uint64_t at = 1000 + i * 10;
+    hx.bootClock.set(at);
+    const uint64_t lock0[] = {0x1, 0, 0};
+    logEventData(hx.facility.control(0), Major::Lock, contend, lock0);
+    hx.bootClock.set(at + 5);
+    if (i < 100) {
+      const uint64_t lock1[] = {0x2, 1, 0};
+      logEventData(hx.facility.control(1), Major::Lock, contend, lock1);
+    } else {
+      const uint64_t app[] = {i};
+      logEventData(hx.facility.control(1), Major::App, 0, app);
+    }
+  }
+  hx.facility.flushAll();
+  hx.consumer.drainNow();
+  std::vector<std::vector<BufferRecord>> perProc(2);
+  for (BufferRecord& r : hx.sink.records()) {
+    perProc[r.processor].push_back(std::move(r));
+  }
+  for (auto& records : perProc) {
+    std::sort(records.begin(), records.end(),
+              [](const BufferRecord& a, const BufferRecord& b) {
+                return a.seq < b.seq;
+              });
+  }
+  ASSERT_GT(perProc[0].size(), 4u);
+
+  MemorySink downstream;
+  streaming::LiveAnalyzer analyzer(downstream, 2, {}, {});
+  size_t maxBacklog = 0;
+  for (size_t k = 0; k < std::max(perProc[0].size(), perProc[1].size()); ++k) {
+    for (auto& records : perProc) {
+      if (k >= records.size()) continue;
+      analyzer.onBuffer(std::move(records[k]));
+      maxBacklog = std::max(maxBacklog, analyzer.mergeBacklog());
+    }
+  }
+  // A Lock event takes four words: a buffer holds at most kWords / 4, and
+  // the backlog never exceeds two buffers' worth.
+  EXPECT_LE(maxBacklog, 2 * kWords / 4);
+  analyzer.finish();
+  EXPECT_EQ(analyzer.mergeBacklog(), 0u);
+  EXPECT_GE(analyzer.eventsObserved(), 8000u);
+}
+
 // --- Closed-trace parity and growing-file tailing -----------------------
 
 constexpr uint32_t kBufferWords = 1u << 10;
@@ -302,7 +415,7 @@ class StreamingTraceTest : public ::testing::Test {
 
   void generateTrace() {
     FacilityConfig fcfg;
-    fcfg.numProcessors = 2;
+    fcfg.numProcessors = numProcessors_;
     fcfg.bufferWords = kBufferWords;
     fcfg.buffersPerProcessor = 64;
     fcfg.mode = Mode::Stream;
@@ -310,7 +423,7 @@ class StreamingTraceTest : public ::testing::Test {
     facility.mask().enableAll();
 
     TraceFileMeta meta;
-    meta.numProcessors = 2;
+    meta.numProcessors = numProcessors_;
     meta.bufferWords = kBufferWords;
     meta.clockKind = ClockKind::Virtual;
     meta.ticksPerSecond = 1e9;
@@ -318,8 +431,9 @@ class StreamingTraceTest : public ::testing::Test {
     Consumer consumer(facility, files, {});
 
     ossim::MachineConfig mcfg;
-    mcfg.numProcessors = 2;
+    mcfg.numProcessors = numProcessors_;
     mcfg.monitorHeartbeatIntervalNs = 10'000;
+    mcfg.pcSampleIntervalNs = pcSampleIntervalNs_;
     ossim::Machine machine(mcfg, &facility);
     workload::SdetConfig scfg;
     scfg.numScripts = 4;
@@ -332,7 +446,10 @@ class StreamingTraceTest : public ::testing::Test {
     facility.flushAll();
     consumer.drainNow();
     files.flush();
-    paths_ = {files.pathFor(0), files.pathFor(1)};
+    paths_.clear();
+    for (uint32_t p = 0; p < numProcessors_; ++p) {
+      paths_.push_back(files.pathFor(p));
+    }
   }
 
   static std::tuple<uint64_t, uint32_t, uint64_t, uint32_t> key(
@@ -340,6 +457,8 @@ class StreamingTraceTest : public ::testing::Test {
     return {e.fullTimestamp, e.processor, e.bufferSeq, e.offsetInBuffer};
   }
 
+  uint32_t numProcessors_ = 2;
+  uint64_t pcSampleIntervalNs_ = 0;
   std::filesystem::path dir_;
   std::vector<std::string> paths_;
   analysis::SymbolTable symbols_;
@@ -562,6 +681,152 @@ TEST_F(StreamingTraceTest, ResumeRejectsTruncatedFile) {
   streaming::StreamCursor resumed({path});
   resumed.resume(saved);
   EXPECT_THROW(resumed.poll(), std::runtime_error);
+}
+
+// --- LiveAnalyzer parity ---------------------------------------------------
+
+class LiveAnalyzerTest : public StreamingTraceTest {
+ protected:
+  LiveAnalyzerTest() {
+    numProcessors_ = 4;
+    pcSampleIntervalNs_ = 20'000;
+  }
+
+  static std::vector<std::string> windowLines(const std::string& snapshot) {
+    std::vector<std::string> lines;
+    std::istringstream in(snapshot);
+    for (std::string line; std::getline(in, line);) {
+      if (line.find("\"type\":\"window\"") != std::string::npos) {
+        lines.push_back(line);
+      }
+    }
+    return lines;
+  }
+};
+
+TEST_F(LiveAnalyzerTest, MixedArrivalMatchesPostHocAndOfflineTop) {
+  const auto trace = analysis::TraceSet::fromFiles(paths_);
+  ASSERT_EQ(trace.numProcessors(), numProcessors_);
+
+  // Every processor's records, in its own order.
+  std::vector<std::vector<BufferRecord>> perProc(numProcessors_);
+  size_t totalRecords = 0;
+  for (uint32_t p = 0; p < numProcessors_; ++p) {
+    TraceFileReader reader(paths_[p]);
+    for (uint64_t k = 0; k < reader.bufferCount(); ++k) {
+      BufferRecord record;
+      ASSERT_TRUE(reader.readBuffer(k, record));
+      record.processor = reader.meta().processorId;
+      perProc[p].push_back(std::move(record));
+    }
+    ASSERT_GE(perProc[p].size(), 2u) << "processor " << p;
+    totalRecords += perProc[p].size();
+  }
+
+  streaming::StreamEngineConfig cfg;
+  cfg.ticksPerSecond = 1e9;
+  cfg.windowTicks = streaming::windowTicksForMs(0.02, cfg.ticksPerSecond);
+
+  MemorySink downstream;
+  streaming::LiveAnalyzer analyzer(downstream, numProcessors_, cfg,
+                                   streaming::defaultMonitors());
+
+  // A control-plane thread polls the snapshot while batches arrive.
+  std::atomic<bool> feeding{true};
+  std::atomic<uint64_t> polls{0};
+  std::thread poller([&] {
+    while (feeding.load(std::memory_order_acquire)) {
+      const std::string snap = analyzer.snapshotJson("t");
+      EXPECT_NE(snap.find("\"type\":\"top\""), std::string::npos);
+      analyzer.eventsObserved();
+      polls.fetch_add(1, std::memory_order_relaxed);
+      std::this_thread::sleep_for(std::chrono::microseconds(20));
+    }
+  });
+
+  // Interleaved batches: each takes a varying run of records from every
+  // processor in a rotating start order, so batches mix processors and
+  // one processor runs ahead of another, but each stays in its own order.
+  while (polls.load(std::memory_order_relaxed) == 0) std::this_thread::yield();
+  std::vector<size_t> next(numProcessors_, 0);
+  size_t fed = 0;
+  for (uint32_t round = 0; fed < totalRecords; ++round) {
+    std::vector<BufferRecord> batch;
+    for (uint32_t i = 0; i < numProcessors_; ++i) {
+      const uint32_t p = (round + i) % numProcessors_;
+      const size_t run = (round + 2 * p) % 3 + 1;
+      for (size_t k = 0; k < run && next[p] < perProc[p].size(); ++k) {
+        batch.push_back(perProc[p][next[p]++]);
+      }
+    }
+    fed += batch.size();
+    analyzer.onBufferBatch(std::move(batch));
+    std::this_thread::yield();
+  }
+  analyzer.finish();
+  feeding.store(false, std::memory_order_release);
+  poller.join();
+  EXPECT_GT(polls.load(), 1u);
+  EXPECT_EQ(downstream.count(), totalRecords);
+
+  // The four fold reports equal the post-hoc tools'.
+  const auto& folds = analyzer.folds();
+  ASSERT_EQ(folds.size(), 4u);
+  auto& lockFold = dynamic_cast<streaming::LockContentionFold&>(*folds[0]);
+  auto& rateFold = dynamic_cast<streaming::EventRateFold&>(*folds[1]);
+  auto& profileFold = dynamic_cast<streaming::ProfileFold&>(*folds[2]);
+  auto& completenessFold =
+      dynamic_cast<streaming::CompletenessFold&>(*folds[3]);
+  ASSERT_FALSE(lockFold.rows().empty());
+  ASSERT_GT(profileFold.totalSamples(), 0u);
+  ASSERT_TRUE(completenessFold.hasHeartbeats());
+  const std::string liveSnapshot = analyzer.snapshotJson("t");
+
+  const analysis::LockAnalysis postLocks(trace);
+  const analysis::LockAnalysis liveLocks(std::move(lockFold));
+  EXPECT_EQ(postLocks.unmatchedContends(), liveLocks.unmatchedContends());
+  EXPECT_EQ(postLocks.report(symbols_, 1e9, 1000),
+            liveLocks.report(symbols_, 1e9, 1000));
+
+  const analysis::EventStats postStats(trace);
+  const analysis::EventStats liveStats(std::move(rateFold));
+  EXPECT_EQ(postStats.totalEvents(), liveStats.totalEvents());
+  EXPECT_EQ(postStats.report(Registry::global(), 1e9),
+            liveStats.report(Registry::global(), 1e9));
+
+  const analysis::Profile postProfile(trace);
+  const analysis::Profile liveProfile(std::move(profileFold));
+  ASSERT_EQ(postProfile.pids(), liveProfile.pids());
+  for (const uint64_t pid : postProfile.pids()) {
+    EXPECT_EQ(postProfile.report(pid, symbols_, "sdet"),
+              liveProfile.report(pid, symbols_, "sdet"));
+  }
+
+  const auto postCompleteness = analysis::CompletenessReport::analyze(trace);
+  const auto liveCompleteness = analysis::CompletenessReport::fromFold(
+      std::move(completenessFold), trace.stats());
+  EXPECT_EQ(postCompleteness.toJson(), liveCompleteness.toJson());
+  EXPECT_EQ(postCompleteness.report(1e9), liveCompleteness.report(1e9));
+
+  // The completed window lines equal the offline `ktracetool top` path:
+  // a StreamEngine over MergeCursor with the same geometry and folds.
+  streaming::StreamEngine offline(cfg, streaming::defaultMonitors());
+  offline.addFold(std::make_unique<streaming::LockContentionFold>());
+  offline.addFold(
+      std::make_unique<streaming::EventRateFold>(trace.numProcessors()));
+  offline.addFold(std::make_unique<streaming::ProfileFold>());
+  offline.addFold(std::make_unique<streaming::CompletenessFold>());
+  analysis::MergeCursor cursor(trace);
+  while (const DecodedEvent* e = cursor.next()) {
+    offline.observe(*e);
+    offline.onOrdered(*e);
+  }
+  offline.finish();
+  const auto liveWindows = windowLines(liveSnapshot);
+  const auto offlineWindows = windowLines(offline.snapshotJson("t"));
+  ASSERT_GE(offlineWindows.size(), 3u);
+  EXPECT_EQ(liveWindows, offlineWindows);
+  EXPECT_EQ(analyzer.eventsObserved(), offline.eventsObserved());
 }
 
 }  // namespace

@@ -909,8 +909,8 @@ int run(const util::Cli& cli) {
         std::make_unique<analysis::streaming::EventRateFold>(trace.numProcessors()));
     engine.addFold(std::make_unique<analysis::streaming::ProfileFold>());
     engine.addFold(std::make_unique<analysis::streaming::CompletenessFold>());
-    // The unordered plane is order-insensitive, so both planes can feed
-    // from the merged stream.
+    // The per-processor plane takes any interleaving of processors, so
+    // both planes can feed from the merged stream.
     analysis::MergeCursor cursor(trace);
     while (const DecodedEvent* e = cursor.next()) {
       engine.observe(*e);
