@@ -11,7 +11,7 @@ cmake -B "$build" -S "$repo" -DKTRACE_SANITIZE=thread \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$build" -j "$(nproc)" --target \
       analysis_parallel_decode_test core_concurrent_test util_test \
-      core_monitor_test analysis_completeness_test \
+      core_monitor_test analysis_completeness_test core_consumer_test \
       core_consumer_shard_test core_batching_sink_test \
       core_shm_crash_test core_shm_session_test \
       daemon_test daemon_crash_test trace_format_v3_test \

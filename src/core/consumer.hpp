@@ -38,7 +38,8 @@ struct ConsumerConfig {
   /// Maximum sleep between idle passes — the adaptive backoff's ceiling.
   std::chrono::microseconds pollInterval{200};
   /// How long to wait for a buffer's commit count to reach its size before
-  /// writing it out anyway with the mismatch anomaly flagged.
+  /// writing it out anyway with the mismatch anomaly flagged. Unused when
+  /// the facility runs with commit counts off: there is no count to wait on.
   std::chrono::microseconds commitWait{2000};
   /// Worker shards, each owning a contiguous slice of processors.
   /// 0 = one shard per processor; clamped to [1, numProcessors].

@@ -143,36 +143,13 @@ CrashDumpReader::CrashDumpReader(const std::string& path) {
 std::vector<DecodedEvent> CrashDumpReader::snapshot(
     uint32_t processor, const FlightRecorderOptions& options) const {
   const ProcessorImage& image = processors_[processor];
-  const uint32_t bufferWords = image.bufferWords;
-  const uint32_t numBuffers = image.numBuffers;
-  const uint64_t currentSeq = image.index / bufferWords;
-  const uint32_t currentOffset = static_cast<uint32_t>(image.index % bufferWords);
-  const uint64_t oldestSeq =
-      currentSeq >= numBuffers - 1 ? currentSeq - (numBuffers - 1) : 0;
-
-  std::vector<DecodedEvent> events;
-  uint64_t tsBase = 0;
-  for (uint64_t seq = oldestSeq; seq <= currentSeq; ++seq) {
-    if (seq == currentSeq && currentOffset == 0) break;
-    const uint32_t slot = static_cast<uint32_t>(seq % numBuffers);
-    const std::span<const uint64_t> words(
-        image.region.data() + static_cast<uint64_t>(slot) * bufferWords, bufferWords);
-    DecodeOptions dopt;
-    dopt.keepAnchors = options.includeAnchors;
-    const uint32_t limit = seq == currentSeq ? currentOffset : 0;
-    decodeBuffer(words, seq, image.processorId, tsBase, events, dopt, limit);
-  }
-
-  if (options.majorMask != ~0ull) {
-    std::erase_if(events, [&](const DecodedEvent& e) {
-      return (options.majorMask & (1ull << static_cast<uint32_t>(e.header.major))) == 0;
-    });
-  }
-  if (options.maxEvents != 0 && events.size() > options.maxEvents) {
-    events.erase(events.begin(),
-                 events.begin() + static_cast<ptrdiff_t>(events.size() - options.maxEvents));
-  }
-  return events;
+  const auto lapWords = [&](uint32_t slot) {
+    return std::span<const uint64_t>(
+        image.region.data() + static_cast<uint64_t>(slot) * image.bufferWords,
+        image.bufferWords);
+  };
+  return decodeRecentLaps(image.processorId, image.bufferWords, image.numBuffers,
+                          image.index, lapWords, options);
 }
 
 std::string CrashDumpReader::report(uint32_t processor, const Registry& registry,

@@ -6,13 +6,12 @@
 
 namespace ktrace {
 
-std::vector<DecodedEvent> flightRecorderSnapshot(const TraceControl& control,
-                                                 const FlightRecorderOptions& options) {
-  const uint32_t bufferWords = control.bufferWords();
-  const uint32_t numBuffers = control.numBuffers();
-  const uint64_t index = control.currentIndex();
-  const uint64_t currentSeq = control.bufferSeq(index);
-  const uint32_t currentOffset = static_cast<uint32_t>(index & (bufferWords - 1));
+std::vector<DecodedEvent> decodeRecentLaps(
+    uint32_t processorId, uint32_t bufferWords, uint32_t numBuffers, uint64_t index,
+    const std::function<std::span<const uint64_t>(uint32_t slot)>& lapWords,
+    const FlightRecorderOptions& options) {
+  const uint64_t currentSeq = index / bufferWords;
+  const uint32_t currentOffset = static_cast<uint32_t>(index % bufferWords);
 
   // Oldest lap that can still be intact. The slot holding the current lap
   // plus the numBuffers-1 preceding laps are candidates.
@@ -21,17 +20,13 @@ std::vector<DecodedEvent> flightRecorderSnapshot(const TraceControl& control,
 
   std::vector<DecodedEvent> events;
   uint64_t tsBase = 0;
-  std::vector<uint64_t> copy(bufferWords);
+  DecodeOptions dopt;
+  dopt.keepAnchors = options.includeAnchors;
   for (uint64_t seq = oldestSeq; seq <= currentSeq; ++seq) {
     if (seq == currentSeq && currentOffset == 0) break;  // lap not yet begun
-    const uint32_t slot = static_cast<uint32_t>(seq & (numBuffers - 1));
-    const uint64_t base = static_cast<uint64_t>(slot) * bufferWords;
-    for (uint32_t i = 0; i < bufferWords; ++i) copy[i] = control.loadWord(base + i);
-
-    DecodeOptions dopt;
-    dopt.keepAnchors = options.includeAnchors;
     const uint32_t limit = seq == currentSeq ? currentOffset : 0;
-    decodeBuffer(copy, seq, control.processorId(), tsBase, events, dopt, limit);
+    decodeBuffer(lapWords(static_cast<uint32_t>(seq % numBuffers)), seq, processorId,
+                 tsBase, events, dopt, limit);
   }
 
   if (options.majorMask != ~0ull) {
@@ -44,6 +39,17 @@ std::vector<DecodedEvent> flightRecorderSnapshot(const TraceControl& control,
                  events.begin() + static_cast<ptrdiff_t>(events.size() - options.maxEvents));
   }
   return events;
+}
+
+std::vector<DecodedEvent> flightRecorderSnapshot(const ControlCore& control,
+                                                 const FlightRecorderOptions& options) {
+  std::vector<uint64_t> copy(control.bufferWords());
+  const auto copyLap = [&](uint32_t slot) {
+    control.copySlot(slot, copy.data());
+    return std::span<const uint64_t>(copy);
+  };
+  return decodeRecentLaps(control.processorId(), control.bufferWords(),
+                          control.numBuffers(), control.currentIndex(), copyLap, options);
 }
 
 std::string flightRecorderReport(const TraceControl& control, const Registry& registry,

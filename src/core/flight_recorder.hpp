@@ -13,6 +13,8 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -30,9 +32,19 @@ struct FlightRecorderOptions {
   bool includeAnchors = false;
 };
 
+/// Decodes the laps a ring still holds — the last numBuffers, ending at
+/// `index`, the in-flight lap decoded up to its current offset — oldest
+/// first, filtered and trimmed per `options`. `lapWords(slot)` yields one
+/// slot's words: a live ring copies them with relaxed loads, a crash dump
+/// hands out its memory image.
+std::vector<DecodedEvent> decodeRecentLaps(
+    uint32_t processorId, uint32_t bufferWords, uint32_t numBuffers, uint64_t index,
+    const std::function<std::span<const uint64_t>(uint32_t slot)>& lapWords,
+    const FlightRecorderOptions& options);
+
 /// Copies and decodes the most recent events from a control's circular
 /// region, oldest first.
-std::vector<DecodedEvent> flightRecorderSnapshot(const TraceControl& control,
+std::vector<DecodedEvent> flightRecorderSnapshot(const ControlCore& control,
                                                  const FlightRecorderOptions& options = {});
 
 /// Renders a snapshot as the debugger-style listing: one line per event,

@@ -7,7 +7,8 @@
 // non-constant-length data.
 //
 // All entry points are non-blocking and safe to call from any number of
-// threads sharing a TraceControl.
+// threads sharing a control (in-process TraceControl or mapped
+// ShmTraceControl: both run ControlCore).
 #pragma once
 
 #include <concepts>
@@ -24,7 +25,7 @@ namespace ktrace {
 /// Log an event whose payload is a fixed set of word-convertible values.
 template <typename... Ws>
   requires(std::convertible_to<Ws, uint64_t> && ...)
-inline bool logEvent(TraceControl& control, Major major, uint16_t minor,
+inline bool logEvent(ControlCore& control, Major major, uint16_t minor,
                      Ws... words) noexcept {
   constexpr uint32_t length = 1 + sizeof...(Ws);
   static_assert(length <= EventHeader::kMaxWords, "event too large");
@@ -39,7 +40,7 @@ inline bool logEvent(TraceControl& control, Major major, uint16_t minor,
 }
 
 /// Log an event with a runtime-sized word payload.
-inline bool logEventData(TraceControl& control, Major major, uint16_t minor,
+inline bool logEventData(ControlCore& control, Major major, uint16_t minor,
                          std::span<const uint64_t> data) noexcept {
   const uint32_t length = 1 + static_cast<uint32_t>(data.size());
   Reservation r;
@@ -54,7 +55,7 @@ inline bool logEventData(TraceControl& control, Major major, uint16_t minor,
 
 /// Log an event whose payload is `leading` fixed words followed by a
 /// string (length word + packed bytes).
-inline bool logEventString(TraceControl& control, Major major, uint16_t minor,
+inline bool logEventString(ControlCore& control, Major major, uint16_t minor,
                            std::string_view text,
                            std::span<const uint64_t> leading = {}) {
   const uint32_t length =
@@ -108,7 +109,7 @@ class EventBuilder {
 
   /// Logs the built payload; returns false on builder overflow or
   /// reservation failure.
-  bool post(TraceControl& control, Major major, uint16_t minor) const noexcept {
+  bool post(ControlCore& control, Major major, uint16_t minor) const noexcept {
     if (overflow_) return false;
     return logEventData(control, major, minor, std::span(words_, n_));
   }

@@ -1,66 +1,18 @@
 #include "core/shm.hpp"
 
-#include <algorithm>
-#include <cstring>
-#include <new>
 #include <stdexcept>
 
+#include "core/flight_recorder.hpp"
 #include "util/bits.hpp"
 
-// NOTE: this file re-states the reservation algorithm of control.cpp for
-// the shared-memory layout. The duplication is deliberate: TraceControl
-// owns process-local storage and counters, while the cross-process variant
-// must keep every mutable word inside the relocatable block. The two are
-// kept behaviourally identical and are cross-checked by the shm tests.
-
 namespace ktrace {
-
-namespace {
-constexpr uint32_t kAnchorWords = TraceControl::kAnchorWords;
-}
-
-size_t ShmTraceControl::bytesFor(uint32_t bufferWords, uint32_t numBuffers) noexcept {
-  return sizeof(ShmControlState) + sizeof(ShmSlotState) * numBuffers +
-         static_cast<size_t>(bufferWords) * numBuffers * sizeof(uint64_t);
-}
-
-ShmTraceControl::ShmTraceControl(ShmControlState* state, ClockRef clock)
-    : state_(state), clock_(clock) {
-  slots_ = reinterpret_cast<ShmSlotState*>(reinterpret_cast<char*>(state_) +
-                                           sizeof(ShmControlState));
-  words_ = reinterpret_cast<uint64_t*>(reinterpret_cast<char*>(slots_) +
-                                       sizeof(ShmSlotState) * state_->numBuffers);
-  maxEventWords_ = std::min<uint32_t>(EventHeader::kMaxWords,
-                                      state_->bufferWords - kAnchorWords);
-  regionMask_ = static_cast<uint64_t>(state_->bufferWords) * state_->numBuffers - 1;
-  localEpoch_ = state_->writerEpoch.load(std::memory_order_acquire);
-}
 
 ShmTraceControl ShmTraceControl::create(void* memory, uint32_t processorId,
                                         uint32_t bufferWords, uint32_t numBuffers,
                                         ClockRef clock) {
-  if (!util::isPowerOfTwo(bufferWords) || !util::isPowerOfTwo(numBuffers) ||
-      bufferWords < 2 * kAnchorWords || numBuffers < 2) {
-    throw std::invalid_argument("ShmTraceControl: bad geometry");
-  }
-  if (!clock.valid()) throw std::invalid_argument("ShmTraceControl: clock required");
-
-  std::memset(memory, 0, bytesFor(bufferWords, numBuffers));
-  auto* state = new (memory) ShmControlState{};
-  state->magic = ShmControlState::kMagic;
-  state->version = ShmControlState::kVersion;
-  state->processorId = processorId;
-  state->bufferWords = bufferWords;
-  state->numBuffers = numBuffers;
-
-  ShmTraceControl control(state, clock);
-  for (uint32_t i = 0; i < numBuffers; ++i) {
-    new (&control.slots_[i]) ShmSlotState{};
-  }
-  const uint64_t t0 = clock();
-  control.writeAnchor(0, t0, 0);
-  state->index.store(kAnchorWords, std::memory_order_release);
-  control.commit(0, kAnchorWords);
+  checkGeometry(bufferWords, numBuffers, clock);
+  ShmTraceControl control(format(memory, processorId, bufferWords, numBuffers), clock);
+  control.start();
   return control;
 }
 
@@ -94,183 +46,9 @@ ShmTraceControl ShmTraceControl::attach(void* memory, ClockRef clock,
   return ShmTraceControl(state, clock);
 }
 
-void ShmTraceControl::storeWord(uint64_t index, uint64_t value) noexcept {
-  std::atomic_ref<uint64_t>(words_[index & regionMask_])
-      .store(value, std::memory_order_relaxed);
-}
-
-uint64_t ShmTraceControl::loadWord(uint64_t index) const noexcept {
-  return std::atomic_ref<uint64_t>(words_[index & regionMask_])
-      .load(std::memory_order_relaxed);
-}
-
-void ShmTraceControl::commit(uint64_t index, uint32_t lengthWords) noexcept {
-  // Cross-process fence: a commit arriving after this processor was
-  // reclaimed belongs to a producer the watchdog already gave up on; its
-  // words may sit under freshly stamped filler, so counting them would
-  // make a torn buffer read as complete.
-  if (state_->writerEpoch.load(std::memory_order_relaxed) != localEpoch_) {
-    state_->staleCommits.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  // Stale-lap guard, identical to TraceControl::commit: a commit from a
-  // reservation the ring has already lapped must not count toward the
-  // slot's new lap (lapSeq is monotonic per slot).
-  const uint64_t seq = index / state_->bufferWords;
-  ShmSlotState& slot = slots_[seq & (state_->numBuffers - 1)];
-  if (slot.lapSeq.load(std::memory_order_relaxed) > seq) {
-    state_->staleCommits.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  slot.committed.fetch_add(lengthWords, std::memory_order_seq_cst);
-  // The epoch check above is check-then-act: fenceWriters can land between
-  // it and the fetch_add while this producer sits preempted. Re-read the
-  // epoch AFTER the add and withdraw the commit if the fence won. seq_cst
-  // on the add, this re-read, and the fence's bump rules out the
-  // store-buffering outcome where the watchdog's post-fence scan misses
-  // the add AND this producer misses the fence: either the words are part
-  // of the committed prefix the watchdog preserves, or they are withdrawn
-  // here and the stamped filler stays authoritative.
-  if (state_->writerEpoch.load(std::memory_order_seq_cst) != localEpoch_) {
-    slot.committed.fetch_sub(lengthWords, std::memory_order_seq_cst);
-    state_->staleCommits.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
-void ShmTraceControl::writeFillers(uint64_t from, uint64_t words, uint32_t ts32) noexcept {
-  state_->fillerWords.fetch_add(words, std::memory_order_relaxed);
-  while (words > 0) {
-    const uint32_t len =
-        static_cast<uint32_t>(std::min<uint64_t>(words, EventHeader::kMaxWords));
-    storeWord(from, EventHeader::encode(ts32, len, Major::Control,
-                                        static_cast<uint16_t>(ControlMinor::Filler)));
-    from += len;
-    words -= len;
-  }
-}
-
-void ShmTraceControl::writeAnchor(uint64_t index, uint64_t fullTs, uint64_t seq) noexcept {
-  storeWord(index, EventHeader::encode(static_cast<uint32_t>(fullTs), kAnchorWords,
-                                       Major::Control,
-                                       static_cast<uint16_t>(ControlMinor::BufferAnchor)));
-  storeWord(index + 1, fullTs);
-  storeWord(index + 2, seq);
-}
-
-bool ShmTraceControl::crossInto(uint64_t oldIndex, uint64_t offsetInBuffer,
-                                uint32_t extraWords, Reservation& out) noexcept {
-  const uint32_t bufferWords = state_->bufferWords;
-  const uint32_t numBuffers = state_->numBuffers;
-  const uint64_t remainder = offsetInBuffer == 0 ? 0 : bufferWords - offsetInBuffer;
-  const uint64_t newBufferStart = oldIndex + remainder;
-  const uint64_t newSeq = newBufferStart / bufferWords;
-  const uint32_t newSlot = static_cast<uint32_t>(newSeq & (numBuffers - 1));
-  const uint64_t committedSnapshot =
-      slots_[newSlot].committed.load(std::memory_order_relaxed);
-  const uint64_t ts = clock_();
-  const uint64_t newIndex = newBufferStart + kAnchorWords + extraWords;
-  uint64_t expected = oldIndex;
-  if (!state_->index.compare_exchange_strong(expected, newIndex,
-                                             std::memory_order_relaxed,
-                                             std::memory_order_relaxed)) {
-    return false;
-  }
-  slots_[newSlot].lapStartCommitted.store(committedSnapshot, std::memory_order_relaxed);
-  slots_[newSlot].lapSeq.store(newSeq, std::memory_order_release);
-  if (leaseHeartbeat_ != nullptr) {
-    // Lease liveness: one relaxed fetch_add per buffer crossing, the whole
-    // fast-path cost of the session watchdog. An RMW, not load+store: one
-    // lease may have several writers (forked children, one per processor)
-    // crossing concurrently, and a lost increment could rewind the word to
-    // a value the watchdog already recorded.
-    leaseHeartbeat_->fetch_add(1, std::memory_order_relaxed);
-  }
-  if (remainder > 0) {
-    writeFillers(oldIndex, remainder, static_cast<uint32_t>(ts));
-    commit(oldIndex, static_cast<uint32_t>(remainder));
-  }
-  writeAnchor(newBufferStart, ts, newSeq);
-  commit(newBufferStart, kAnchorWords);
-  out.index = newBufferStart + kAnchorWords;
-  out.slot = words_ + (out.index & regionMask_);
-  out.ts32 = static_cast<uint32_t>(ts);
-  out.fullTs = ts;
-  return true;
-}
-
-bool ShmTraceControl::reserveSlow(uint32_t lengthWords, Reservation& out) noexcept {
-  state_->slowPathEntries.fetch_add(1, std::memory_order_relaxed);
-  const uint64_t oldIndex = state_->index.load(std::memory_order_relaxed);
-  const uint64_t offsetInBuffer = oldIndex & (state_->bufferWords - 1);
-  if (offsetInBuffer != 0 && offsetInBuffer + lengthWords <= state_->bufferWords) {
-    return false;  // someone else already crossed
-  }
-  return crossInto(oldIndex, offsetInBuffer, lengthWords, out);
-}
-
-bool ShmTraceControl::reserve(uint32_t lengthWords, Reservation& out) noexcept {
-  if (lengthWords == 0 || lengthWords > maxEventWords_) {
-    state_->rejected.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  for (;;) {
-    // Fenced accessor: the watchdog reclaimed this processor out from
-    // under us. Refusing the reservation (rather than racing the
-    // reclamation CAS) is what lets reclamation terminate — a fenced
-    // producer stops moving the index, so the watchdog's
-    // flushCurrentBuffer converges. Checked per attempt so a producer
-    // preempted inside this loop cannot keep CASing the index after the
-    // fence (the narrow remainder — a CAS already in flight — is absorbed
-    // by the watchdog's per-poll re-reclaim).
-    if (state_->writerEpoch.load(std::memory_order_relaxed) != localEpoch_) {
-      state_->rejected.fetch_add(1, std::memory_order_relaxed);
-      return false;
-    }
-    uint64_t oldIndex = state_->index.load(std::memory_order_relaxed);
-    const uint64_t offsetInBuffer = oldIndex & (state_->bufferWords - 1);
-    if (offsetInBuffer == 0 || offsetInBuffer + lengthWords > state_->bufferWords) {
-      if (reserveSlow(lengthWords, out)) return true;
-      continue;
-    }
-    const uint64_t ts = clock_();  // re-read per attempt: monotonic order
-    if (state_->index.compare_exchange_weak(oldIndex, oldIndex + lengthWords,
-                                            std::memory_order_relaxed,
-                                            std::memory_order_relaxed)) {
-      out.index = oldIndex;
-      out.slot = words_ + (oldIndex & regionMask_);
-      out.ts32 = static_cast<uint32_t>(ts);
-      out.fullTs = ts;
-      return true;
-    }
-  }
-}
-
-bool ShmTraceControl::logEventData(Major major, uint16_t minor,
-                                   std::span<const uint64_t> data) noexcept {
-  const uint32_t length = 1 + static_cast<uint32_t>(data.size());
-  Reservation r;
-  if (!reserve(length, r)) return false;
-  storeWord(r.index, EventHeader::encode(r.ts32, length, major, minor));
-  uint64_t at = r.index + 1;
-  for (const uint64_t w : data) storeWord(at++, w);
-  commit(r.index, length);
-  noteLogged(length);
-  return true;
-}
-
-void ShmTraceControl::flushCurrentBuffer() noexcept {
-  for (;;) {
-    const uint64_t oldIndex = state_->index.load(std::memory_order_relaxed);
-    const uint64_t offsetInBuffer = oldIndex & (state_->bufferWords - 1);
-    if (offsetInBuffer == 0) return;
-    Reservation unused;
-    if (crossInto(oldIndex, offsetInBuffer, 0, unused)) return;
-  }
-}
-
 uint64_t ShmTraceControl::withdrawOvercommit(uint64_t seq,
                                              uint64_t expectedLapWords) noexcept {
-  ShmSlotState& slot = slots_[seq & (state_->numBuffers - 1)];
+  ShmSlotState& slot = bufferState(static_cast<uint32_t>(seq & (numBuffers() - 1)));
   if (slot.lapSeq.load(std::memory_order_acquire) != seq) return 0;
   const uint64_t lapStart = slot.lapStartCommitted.load(std::memory_order_relaxed);
   const uint64_t lapCommitted =
@@ -283,74 +61,31 @@ uint64_t ShmTraceControl::withdrawOvercommit(uint64_t seq,
 }
 
 std::vector<DecodedEvent> ShmTraceControl::snapshot(size_t maxEvents) const {
-  const uint32_t bufferWords = state_->bufferWords;
-  const uint32_t numBuffers = state_->numBuffers;
-  const uint64_t index = currentIndex();
-  const uint64_t currentSeq = index / bufferWords;
-  const uint32_t currentOffset = static_cast<uint32_t>(index & (bufferWords - 1));
-  const uint64_t oldestSeq =
-      currentSeq >= numBuffers - 1 ? currentSeq - (numBuffers - 1) : 0;
-
-  std::vector<DecodedEvent> events;
-  uint64_t tsBase = 0;
-  std::vector<uint64_t> copy(bufferWords);
-  for (uint64_t seq = oldestSeq; seq <= currentSeq; ++seq) {
-    if (seq == currentSeq && currentOffset == 0) break;
-    const uint64_t base = (seq & (numBuffers - 1)) * static_cast<uint64_t>(bufferWords);
-    for (uint32_t i = 0; i < bufferWords; ++i) copy[i] = loadWord(base + i);
-    const uint32_t limit = seq == currentSeq ? currentOffset : 0;
-    decodeBuffer(copy, seq, state_->processorId, tsBase, events, {}, limit);
-  }
-  if (maxEvents != 0 && events.size() > maxEvents) {
-    events.erase(events.begin(),
-                 events.begin() + static_cast<ptrdiff_t>(events.size() - maxEvents));
-  }
-  return events;
+  FlightRecorderOptions options;
+  options.maxEvents = maxEvents;
+  return flightRecorderSnapshot(*this, options);
 }
 
 uint64_t ShmTraceControl::drainCompleteBuffers(uint64_t nextSeq, Sink& sink,
                                                bool stopAtIncomplete) const {
-  const uint32_t bufferWords = state_->bufferWords;
-  const uint32_t numBuffers = state_->numBuffers;
-  const uint64_t currentSeq = currentBufferSeq();
-  if (currentSeq > nextSeq && currentSeq - nextSeq >= numBuffers) {
-    const uint64_t oldestSafe = currentSeq - numBuffers + 1;  // lapped
-    state_->buffersLost.fetch_add(oldestSafe - nextSeq, std::memory_order_relaxed);
-    nextSeq = oldestSafe;
-  }
-  while (nextSeq < currentSeq) {
+  const uint64_t end = currentBufferSeq();
+  while (nextSeq < end) {
     // Disk full downstream: stop consuming at this exact boundary. The
     // undrained tail stays parked in the segment (cursor untouched) and
     // drains after the storage emergency clears, instead of being pulled
     // into a sink that can only shed it (DESIGN.md §15).
-    if (sink.exhausted()) return nextSeq;
-    const uint32_t slotIdx = static_cast<uint32_t>(nextSeq & (numBuffers - 1));
-    const ShmSlotState& s = slots_[slotIdx];
-    if (s.lapSeq.load(std::memory_order_acquire) != nextSeq) {
-      state_->buffersLost.fetch_add(1, std::memory_order_relaxed);
-      ++nextSeq;
-      continue;
-    }
+    if (sink.exhausted()) break;
     BufferRecord record;
-    record.processor = state_->processorId;
-    record.seq = nextSeq;
-    const uint64_t lapStart = s.lapStartCommitted.load(std::memory_order_relaxed);
-    record.committedDelta = s.committed.load(std::memory_order_acquire) - lapStart;
-    record.commitMismatch = record.committedDelta != bufferWords;
-    if (stopAtIncomplete && record.commitMismatch) return nextSeq;
-    record.words.resize(bufferWords);
-    const uint64_t base = static_cast<uint64_t>(slotIdx) * bufferWords;
-    for (uint32_t i = 0; i < bufferWords; ++i) record.words[i] = loadWord(base + i);
-    if (s.lapSeq.load(std::memory_order_acquire) == nextSeq) {
-      if (record.commitMismatch) {
-        state_->commitMismatches.fetch_add(1, std::memory_order_relaxed);
-      }
-      state_->buffersConsumed.fetch_add(1, std::memory_order_relaxed);
-      sink.onBuffer(std::move(record));
-    } else {
-      state_->buffersLost.fetch_add(1, std::memory_order_relaxed);
+    uint64_t lost = 0;
+    const LapDrain drained = drainLap(nextSeq, record, lost, {}, stopAtIncomplete);
+    if (lost != 0) state_->buffersLost.fetch_add(lost, std::memory_order_relaxed);
+    if (drained == LapDrain::Held) break;
+    if (drained != LapDrain::Copied) continue;
+    if (record.commitMismatch) {
+      state_->commitMismatches.fetch_add(1, std::memory_order_relaxed);
     }
-    ++nextSeq;
+    state_->buffersConsumed.fetch_add(1, std::memory_order_relaxed);
+    sink.onBuffer(std::move(record));
   }
   return nextSeq;
 }

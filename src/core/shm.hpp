@@ -6,20 +6,19 @@
 //
 // The userspace analogue: the entire per-processor trace state — the
 // atomic reservation index, the per-buffer commit counts, and the ring
-// words — lives in one relocatable, position-independent memory block
-// (ShmControlState) that can sit in a MAP_SHARED mapping. Any process
-// mapping the block logs with the same lockless CAS algorithm as
-// TraceControl; kernel (parent) and applications (children) interleave in
-// one unified buffer exactly as in K42.
+// words — lives in one relocatable control block (ShmControlState,
+// control.hpp) that can sit in a MAP_SHARED mapping. Any process mapping
+// the block logs with the one lockless CAS algorithm, ControlCore — the
+// same code TraceControl runs over its heap block — so kernel (parent) and
+// applications (children) interleave in one unified buffer exactly as in
+// K42.
 //
-// ShmTraceControl is a thin accessor over the mapped state; it holds no
-// state of its own besides the pointer and the clock, so each process
+// ShmTraceControl is that core over a mapped block, plus what only a
+// shared block needs: create/attach validation, the cross-process writer
+// fence, the recovery-side overcommit clamp, the lease heartbeat and the
+// drain-side counters kept in the block. It holds no state of its own
+// besides pointers, the cached geometry and the clock, so each process
 // constructs its own accessor over the common mapping.
-//
-// Layout of the block (8-byte aligned throughout):
-//   ShmControlState header
-//   numBuffers x ShmSlotState
-//   bufferWords * numBuffers ring words
 #pragma once
 
 #include <atomic>
@@ -31,66 +30,14 @@
 #include "core/control.hpp"
 #include "core/decode.hpp"
 #include "core/event.hpp"
+#include "core/logger.hpp"
 #include "core/sink.hpp"
 #include "core/timestamp.hpp"
 
 namespace ktrace {
 
-struct ShmSlotState {
-  std::atomic<uint64_t> committed;
-  std::atomic<uint64_t> lapStartCommitted;
-  std::atomic<uint64_t> lapSeq;
-};
-
-struct ShmControlState {
-  uint32_t magic;
-  uint32_t version;
-  uint32_t processorId;
-  uint32_t bufferWords;   // power of two
-  uint32_t numBuffers;    // power of two
-  uint32_t reserved;
-  alignas(64) std::atomic<uint64_t> index;
-  alignas(64) std::atomic<uint64_t> rejected;
-  std::atomic<uint64_t> slowPathEntries;
-  std::atomic<uint64_t> fillerWords;
-  // v2: self-monitoring counters (DESIGN.md §8), updated by the mapped
-  // loggers with relaxed load/add/store — exact under one writer per
-  // processor, statistically accurate when processes share a block.
-  std::atomic<uint64_t> eventsLogged;
-  std::atomic<uint64_t> wordsReserved;
-  // v3: commits dropped by the stale-lap guard, plus drain-side accounting
-  // (drainCompleteBuffers), so any process mapping the block sees how much
-  // of the stream reached a sink and how much was lost to lapping.
-  std::atomic<uint64_t> staleCommits;
-  std::atomic<uint64_t> buffersConsumed;
-  std::atomic<uint64_t> buffersLost;
-  std::atomic<uint64_t> commitMismatches;
-  // v4: the cross-process writer fence (DESIGN.md §10). A watchdog
-  // reclaiming this processor bumps writerEpoch; accessors cache the epoch
-  // they attached under, so a producer stalled past its lease deadline —
-  // but still alive — has its late reservations rejected and late commits
-  // discarded as stale instead of corrupting the reclaimed lap. The
-  // cross-process analogue of the per-slot lapSeq guard.
-  std::atomic<uint64_t> writerEpoch;
-
-  static constexpr uint32_t kMagic = 0x4B54524Bu;  // "KTRK"
-  static constexpr uint32_t kVersion = 4;
-  /// Geometry ceilings enforced on attach: large enough for any real
-  /// configuration (a max-size region is 512 GiB), small enough that a
-  /// corrupted header cannot drive bytesFor into overflow or make
-  /// validation walk gigabytes of garbage.
-  static constexpr uint32_t kMaxBufferWords = 1u << 26;
-  static constexpr uint32_t kMaxNumBuffers = 1u << 20;
-};
-
-static_assert(std::is_trivially_destructible_v<ShmControlState>);
-static_assert(std::is_trivially_destructible_v<ShmSlotState>);
-
-class ShmTraceControl {
+class ShmTraceControl : public ControlCore {
  public:
-  /// Bytes needed for a block with this geometry.
-  static size_t bytesFor(uint32_t bufferWords, uint32_t numBuffers) noexcept;
-
   /// Initializes a raw block (zeroed or not) and returns an accessor.
   /// `memory` must be 64-byte aligned and at least bytesFor(...) bytes.
   /// Writes the lap-0 anchor. Throws std::invalid_argument on bad
@@ -108,55 +55,18 @@ class ShmTraceControl {
   static ShmTraceControl attach(void* memory, ClockRef clock,
                                 size_t availableBytes = 0);
 
-  // --- the lockless algorithm, cross-process ---------------------------
-  bool reserve(uint32_t lengthWords, Reservation& out) noexcept;
-  void commit(uint64_t index, uint32_t lengthWords) noexcept;
-  void storeWord(uint64_t index, uint64_t value) noexcept;
-  uint64_t loadWord(uint64_t index) const noexcept;
-
   template <typename... Ws>
     requires(std::convertible_to<Ws, uint64_t> && ...)
   bool logEvent(Major major, uint16_t minor, Ws... words) noexcept {
-    constexpr uint32_t length = 1 + sizeof...(Ws);
-    Reservation r;
-    if (!reserve(length, r)) return false;
-    storeWord(r.index, EventHeader::encode(r.ts32, length, major, minor));
-    uint64_t at = r.index + 1;
-    ((storeWord(at++, static_cast<uint64_t>(words))), ...);
-    commit(r.index, length);
-    noteLogged(length);
-    return true;
+    return ktrace::logEvent(*this, major, minor, words...);
   }
 
   bool logEventData(Major major, uint16_t minor,
-                    std::span<const uint64_t> data) noexcept;
+                    std::span<const uint64_t> data) noexcept {
+    return ktrace::logEventData(*this, major, minor, data);
+  }
 
-  // --- geometry & state --------------------------------------------------
-  uint32_t processorId() const noexcept { return state_->processorId; }
-  uint32_t bufferWords() const noexcept { return state_->bufferWords; }
-  uint32_t numBuffers() const noexcept { return state_->numBuffers; }
-  uint64_t regionWords() const noexcept {
-    return static_cast<uint64_t>(state_->bufferWords) * state_->numBuffers;
-  }
-  uint32_t maxEventWords() const noexcept { return maxEventWords_; }
-  uint64_t currentIndex() const noexcept {
-    return state_->index.load(std::memory_order_acquire);
-  }
-  uint64_t currentBufferSeq() const noexcept {
-    return currentIndex() / state_->bufferWords;
-  }
-  uint64_t fillerWordsWritten() const noexcept {
-    return state_->fillerWords.load(std::memory_order_relaxed);
-  }
-  uint64_t eventsLogged() const noexcept {
-    return state_->eventsLogged.load(std::memory_order_relaxed);
-  }
-  uint64_t wordsReservedCount() const noexcept {
-    return state_->wordsReserved.load(std::memory_order_relaxed);
-  }
-  uint64_t staleCommits() const noexcept {
-    return state_->staleCommits.load(std::memory_order_relaxed);
-  }
+  // --- drain-side counters (drainCompleteBuffers) ------------------------
   uint64_t buffersConsumed() const noexcept {
     return state_->buffersConsumed.load(std::memory_order_relaxed);
   }
@@ -166,7 +76,7 @@ class ShmTraceControl {
   uint64_t commitMismatches() const noexcept {
     return state_->commitMismatches.load(std::memory_order_relaxed);
   }
-  const ShmSlotState& slot(uint32_t i) const noexcept { return slots_[i]; }
+  const ShmSlotState& slot(uint32_t i) const noexcept { return bufferState(i); }
 
   // --- producer leases & the cross-process writer fence ----------------
   /// Binds this accessor to a lease heartbeat word (normally a ShmLease's,
@@ -194,11 +104,6 @@ class ShmTraceControl {
   void refreshEpoch() noexcept {
     localEpoch_ = state_->writerEpoch.load(std::memory_order_acquire);
   }
-  /// True when fenceWriters has been called since this accessor attached
-  /// (or last refreshed): its writes no longer count.
-  bool fenced() const noexcept {
-    return state_->writerEpoch.load(std::memory_order_relaxed) != localEpoch_;
-  }
   uint64_t writerEpoch() const noexcept {
     return state_->writerEpoch.load(std::memory_order_relaxed);
   }
@@ -216,9 +121,6 @@ class ShmTraceControl {
   uint64_t drainCompleteBuffers(uint64_t nextSeq, Sink& sink,
                                 bool stopAtIncomplete = false) const;
 
-  /// Pads the current buffer to its boundary (Facility::flush analogue).
-  void flushCurrentBuffer() noexcept;
-
   /// Recovery-side clamp (call only with writers fenced): if slot `seq`'s
   /// lap commit count exceeds `expectedLapWords` — only possible when a
   /// stale commit raced the fence and its withdrawal was lost to SIGKILL
@@ -227,33 +129,18 @@ class ShmTraceControl {
   /// the watchdog's next reclaim pass re-closes the resulting gap.
   uint64_t withdrawOvercommit(uint64_t seq, uint64_t expectedLapWords) noexcept;
 
- private:
-  ShmTraceControl(ShmControlState* state, ClockRef clock);
-  /// Self-monitoring update; same relaxed load/add/store trade as
-  /// TraceControl::noteLogged.
-  void noteLogged(uint32_t lengthWords) noexcept {
-    auto& e = state_->eventsLogged;
-    e.store(e.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
-    auto& w = state_->wordsReserved;
-    w.store(w.load(std::memory_order_relaxed) + lengthWords,
-            std::memory_order_relaxed);
+  /// Recovery-side repair (call only with writers fenced): `words` words
+  /// from `index` were reserved but never committed — the producer died
+  /// or was fenced mid-event. Stamps filler over them so the lap decodes
+  /// cleanly, then commits them to close the lap's accounting.
+  void fillTornTail(uint64_t index, uint32_t words, uint32_t ts32) noexcept {
+    fillAndCommit(index, words, ts32);
   }
-  bool reserveSlow(uint32_t lengthWords, Reservation& out) noexcept;
-  void writeFillers(uint64_t from, uint64_t words, uint32_t ts32) noexcept;
-  void writeAnchor(uint64_t index, uint64_t fullTs, uint64_t seq) noexcept;
-  bool crossInto(uint64_t oldIndex, uint64_t offsetInBuffer, uint32_t extraWords,
-                 Reservation& out) noexcept;
 
-  ShmControlState* state_ = nullptr;
-  ShmSlotState* slots_ = nullptr;
-  uint64_t* words_ = nullptr;
-  ClockRef clock_{};
-  uint32_t maxEventWords_ = 0;
-  uint64_t regionMask_ = 0;
-  /// The writer epoch this accessor attached under (see fenceWriters).
-  uint64_t localEpoch_ = 0;
-  /// Optional lease heartbeat refreshed at buffer crossings.
-  std::atomic<uint64_t>* leaseHeartbeat_ = nullptr;
+ private:
+  ShmTraceControl(ShmControlState* state, ClockRef clock)
+      : ControlCore(state, clock, /*commitCounts=*/true,
+                    /*timestampPerAttempt=*/true, /*selfMonitoring=*/true) {}
 };
 
 }  // namespace ktrace

@@ -435,17 +435,7 @@ void SessionWatchdog::reclaimProcessor(uint32_t p) {
     // event headers over it so the buffer decodes cleanly, then commit the
     // stamped words to close the lap's accounting.
     const uint64_t torn = expected - lapCommitted;
-    uint64_t at = seq * bufferWords + lapCommitted;
-    uint64_t left = torn;
-    while (left > 0) {
-      const uint32_t len = static_cast<uint32_t>(
-          std::min<uint64_t>(left, EventHeader::kMaxWords));
-      c.storeWord(at, EventHeader::encode(ts32, len, Major::Control,
-                                          static_cast<uint16_t>(ControlMinor::Filler)));
-      at += len;
-      left -= len;
-    }
-    c.commit(seq * bufferWords + lapCommitted, static_cast<uint32_t>(torn));
+    c.fillTornTail(seq * bufferWords + lapCommitted, static_cast<uint32_t>(torn), ts32);
     tornBuffers_.fetch_add(1, std::memory_order_relaxed);
     reclaimedWords_.fetch_add(torn, std::memory_order_relaxed);
   }

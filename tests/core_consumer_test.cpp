@@ -297,6 +297,30 @@ TEST(Consumer, LateTailCommitAfterWriteOutIsNotDoubleCounted) {
   EXPECT_EQ(consumer.stats().commitMismatches, 1u);
 }
 
+TEST(Consumer, CommitCountsOffSkipsStragglerWait) {
+  // With commit counts off, commit() never adds, so every buffer's delta
+  // reads 0 — a missing straggler is indistinguishable from a finished
+  // buffer. Waiting commitWait for a count that can never arrive stalled
+  // the drain by the full budget per buffer.
+  FakeFacility fx(1, 64, 8, /*commitCounts=*/false);
+  fx.facility.bindCurrentThread(0);
+  MemorySink sink;
+  ConsumerConfig cc;
+  cc.commitWait = std::chrono::seconds(1);
+  Consumer consumer(fx.facility, sink, cc);
+  for (uint64_t i = 0; i < 3; ++i) {
+    ASSERT_TRUE(fx.facility.log(Major::Test, 1, i));
+    fx.facility.flushAll();
+  }
+
+  const auto start = std::chrono::steady_clock::now();
+  consumer.drainNow();
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_LT(elapsed, std::chrono::milliseconds(250));
+  EXPECT_EQ(consumer.stats().buffersConsumed, 3u);
+  EXPECT_EQ(consumer.stats().commitMismatches, 0u);
+}
+
 TEST(Consumer, ShardCountIsClampedToProcessors) {
   FakeFacility fx(3, 64, 4);
   MemorySink sink;
