@@ -1,7 +1,8 @@
 #include "core/control.hpp"
 
+#include <sys/mman.h>
+
 #include <algorithm>
-#include <cstring>
 #include <new>
 #include <stdexcept>
 #include <thread>
@@ -54,7 +55,6 @@ void ControlCore::checkGeometry(uint32_t bufferWords, uint32_t numBuffers,
 ShmControlState* ControlCore::format(void* memory, uint32_t processorId,
                                      uint32_t bufferWords,
                                      uint32_t numBuffers) noexcept {
-  std::memset(memory, 0, bytesFor(bufferWords, numBuffers));
   auto* state = new (memory) ShmControlState{};
   state->magic = ShmControlState::kMagic;
   state->version = ShmControlState::kVersion;
@@ -287,13 +287,21 @@ TraceControl::TraceControl(const TraceControlConfig& config, Block block)
 
 TraceControl::Block TraceControl::allocate(const TraceControlConfig& config) {
   checkGeometry(config.bufferWords, config.numBuffers, config.clock);
-  void* memory = ::operator new(bytesFor(config.bufferWords, config.numBuffers),
-                                std::align_val_t{64});
+  // Anonymous private pages arrive zero-filled on first touch, which is all
+  // format() needs: a ring page is committed by the first lap that writes
+  // it, and a reader of an untouched lap maps the kernel's zero page.
+  const size_t bytes = bytesFor(config.bufferWords, config.numBuffers);
+  void* memory = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                        MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (memory == MAP_FAILED) throw std::bad_alloc();
+  // Base pages only: a transparent huge page would commit 2 MiB of ring on
+  // the first write into it.
+  ::madvise(memory, bytes, MADV_NOHUGEPAGE);
   return Block(format(memory, config.processorId, config.bufferWords, config.numBuffers));
 }
 
 void TraceControl::BlockFree::operator()(ShmControlState* block) const noexcept {
-  ::operator delete(block, std::align_val_t{64});
+  ::munmap(block, bytesFor(block->bufferWords, block->numBuffers));
 }
 
 }  // namespace ktrace

@@ -6,8 +6,8 @@
 // aligned, so logging on different processors never shares cache lines
 // (paper §2, "User-mapped per-processor buffers and control structures").
 // The block is relocatable: it holds no pointers, so the same layout serves
-// the in-process owner (TraceControl, a heap block) and the user-mapped one
-// (ShmTraceControl, a MAP_SHARED block, shm.hpp). ControlCore is the one
+// the in-process owner (TraceControl, a private mapping) and the user-mapped
+// one (ShmTraceControl, a MAP_SHARED block, shm.hpp). ControlCore is the one
 // implementation of the algorithm, an accessor over such a block.
 //
 // The trace memory region is `numBuffers` buffers of `bufferWords` 64-bit
@@ -316,8 +316,9 @@ class ControlCore {
   /// the algorithm: power-of-two sizes, room for two anchors per buffer, at
   /// least two buffers.
   static void checkGeometry(uint32_t bufferWords, uint32_t numBuffers, ClockRef clock);
-  /// Lays out a fresh block (zeroed header, slots and ring) in `memory`,
-  /// which must be 64-byte aligned and bytesFor(...) bytes long.
+  /// Lays out a fresh block in `memory`, which must be 64-byte aligned,
+  /// bytesFor(...) bytes long and zero-filled: it writes only the header
+  /// and the slot array, so the ring's zeros are the allocation's.
   static ShmControlState* format(void* memory, uint32_t processorId,
                                  uint32_t bufferWords, uint32_t numBuffers) noexcept;
   /// Starts lap 0 of slot 0: writes its anchor, so that every buffer lap
@@ -364,7 +365,8 @@ class ControlCore {
   ClockRef clock_;
 };
 
-/// The in-process owner: the core over a 64-byte-aligned heap block.
+/// The in-process owner: the core over an anonymous private mapping, so
+/// ring memory is committed as laps are written.
 class TraceControl : public ControlCore {
  public:
   explicit TraceControl(const TraceControlConfig& config);

@@ -208,9 +208,18 @@ struct DecodeOptions {
 /// major class.
 bool headerLooksValid(uint64_t headerWord, uint32_t offset, uint32_t bufferWords) noexcept;
 
-/// Unwraps a 32-bit timestamp against a 64-bit base, assuming forward
-/// progress of less than 2^32 ticks between consecutive events.
+/// A 32-bit timestamp that lands less than this many ticks below the base
+/// is a small backward step (x86 rdtsc is not ordered after the
+/// reservation's index load, so a contended writer can stamp an event a few
+/// hundred ticks before its predecessor), not a forward wrap of ~2^32.
+inline constexpr uint32_t kBackwardStepTicks = 1u << 20;
+
+/// Unwraps a 32-bit timestamp against a 64-bit base: a step of less than
+/// kBackwardStepTicks below the base is backward; anything else is forward
+/// progress of less than 2^32 - kBackwardStepTicks ticks.
 constexpr uint64_t unwrapTimestamp(uint64_t base, uint32_t ts32) noexcept {
+  const uint32_t back = static_cast<uint32_t>(base) - ts32;
+  if (back < kBackwardStepTicks && back <= base) return base - back;
   return base + static_cast<uint32_t>(ts32 - static_cast<uint32_t>(base));
 }
 

@@ -7,8 +7,10 @@ namespace ktrace {
 
 namespace {
 
+// A binding names its facility by id, not address: a Facility built where a
+// destroyed one lived must not inherit another thread's stale binding.
 struct ThreadBinding {
-  const Facility* facility = nullptr;
+  uint64_t facilityId = 0;
   TraceControl* control = nullptr;
   uint32_t processor = 0;
 };
@@ -16,10 +18,14 @@ struct ThreadBinding {
 thread_local ThreadBinding tlsBinding;
 
 std::atomic<Facility*> gCurrentFacility{nullptr};
+std::atomic<uint64_t> gNextFacilityId{1};
 
 }  // namespace
 
-Facility::Facility(const FacilityConfig& config) : config_(config), mask_(config.initialMask) {
+Facility::Facility(const FacilityConfig& config)
+    : config_(config),
+      mask_(config.initialMask),
+      id_(gNextFacilityId.fetch_add(1, std::memory_order_relaxed)) {
   if (config_.numProcessors == 0) {
     throw std::invalid_argument("numProcessors must be at least 1");
   }
@@ -42,25 +48,25 @@ Facility::Facility(const FacilityConfig& config) : config_(config), mask_(config
 
 Facility::~Facility() {
   if (Facility::current() == this) Facility::setCurrent(nullptr);
-  if (tlsBinding.facility == this) tlsBinding = {};
+  if (tlsBinding.facilityId == id_) tlsBinding = {};
 }
 
 void Facility::bindCurrentThread(uint32_t processor) noexcept {
-  tlsBinding.facility = this;
+  tlsBinding.facilityId = id_;
   tlsBinding.control = controls_[processor].get();
   tlsBinding.processor = processor;
 }
 
 void Facility::unbindCurrentThread() noexcept {
-  if (tlsBinding.facility == this) tlsBinding = {};
+  if (tlsBinding.facilityId == id_) tlsBinding = {};
 }
 
 TraceControl* Facility::currentControl() const noexcept {
-  return tlsBinding.facility == this ? tlsBinding.control : nullptr;
+  return tlsBinding.facilityId == id_ ? tlsBinding.control : nullptr;
 }
 
 uint32_t Facility::currentProcessor() const noexcept {
-  return tlsBinding.facility == this ? tlsBinding.processor : numProcessors();
+  return tlsBinding.facilityId == id_ ? tlsBinding.processor : numProcessors();
 }
 
 void Facility::flushAll() noexcept {

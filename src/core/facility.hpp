@@ -126,6 +126,8 @@ class Facility {
  private:
   FacilityConfig config_;
   TraceMask mask_;
+  /// Process-unique, never reused: what a thread binding is checked against.
+  uint64_t id_;
   std::vector<std::unique_ptr<TraceControl>> controls_;
 };
 

@@ -1,5 +1,6 @@
 #include "core/shm.hpp"
 
+#include <cstring>
 #include <stdexcept>
 
 #include "core/flight_recorder.hpp"
@@ -11,6 +12,9 @@ ShmTraceControl ShmTraceControl::create(void* memory, uint32_t processorId,
                                         uint32_t bufferWords, uint32_t numBuffers,
                                         ClockRef clock) {
   checkGeometry(bufferWords, numBuffers, clock);
+  // The caller's memory has unknown content, and format() relies on zeros:
+  // a never-written lap must read as zeros, never as stale bytes.
+  std::memset(memory, 0, bytesFor(bufferWords, numBuffers));
   ShmTraceControl control(format(memory, processorId, bufferWords, numBuffers), clock);
   control.start();
   return control;

@@ -9,7 +9,7 @@
 // words — lives in one relocatable control block (ShmControlState,
 // control.hpp) that can sit in a MAP_SHARED mapping. Any process mapping
 // the block logs with the one lockless CAS algorithm, ControlCore — the
-// same code TraceControl runs over its heap block — so kernel (parent) and
+// same code TraceControl runs over its private block — so kernel (parent) and
 // applications (children) interleave in one unified buffer exactly as in
 // K42.
 //

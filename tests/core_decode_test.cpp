@@ -91,6 +91,32 @@ TEST(Decode, TimestampChainAdvancesBetweenAnchors) {
   EXPECT_EQ(events[2].fullTimestamp, 0x100000030ull);
 }
 
+TEST(Decode, SmallBackwardStepIsNotAWrap) {
+  // An unordered TSC read can stamp an event slightly before its
+  // predecessor; that is a step back, not 2^32 ticks forward.
+  const uint64_t first = (3ull << 32) + 0x10;
+  auto buf = makeBuffer(64);
+  putAnchor(buf, 0, first - 5, 0);
+  uint32_t at = putEvent(buf, 3, static_cast<uint32_t>(first), Major::Test, 1, {});
+  at = putEvent(buf, at, static_cast<uint32_t>(first - 100), Major::Test, 2, {});
+  putEvent(buf, at, static_cast<uint32_t>(first + 50), Major::Test, 3, {});
+
+  std::vector<DecodedEvent> events;
+  uint64_t tsBase = 0;
+  decodeBuffer(buf, 0, 0, tsBase, events);
+  ASSERT_EQ(events.size(), 3u);
+  EXPECT_EQ(events[0].fullTimestamp, first);
+  EXPECT_EQ(events[1].fullTimestamp, first - 100);
+  EXPECT_EQ(events[2].fullTimestamp, first + 50);
+
+  // The backward window is only kBackwardStepTicks wide: a forward step
+  // that wraps the low word by more than that still moves time forward.
+  const uint64_t base = 0xFFFFF000ull;
+  const uint64_t later = base + (1ull << 32) - kBackwardStepTicks;
+  EXPECT_EQ(unwrapTimestamp(base, static_cast<uint32_t>(later)), later);
+  EXPECT_EQ(unwrapTimestamp(base, static_cast<uint32_t>(base + 0x30)), base + 0x30);
+}
+
 TEST(Decode, GarbledHeaderAbandonsBuffer) {
   auto buf = makeBuffer(64);
   putAnchor(buf, 0, 10, 0);

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <new>
 #include <thread>
 
 #include "test_support.hpp"
@@ -123,6 +125,39 @@ TEST(Facility, DestructorClearsGlobalAndBinding) {
     Facility::setCurrent(&fx.facility);
   }
   EXPECT_EQ(Facility::current(), nullptr);
+}
+
+TEST(Facility, StaleBindingDoesNotSurviveAddressReuse) {
+  // Thread T binds to facility A. A is destroyed and B is built in the same
+  // storage: T's binding named A, so B must not hand T A's freed control.
+  FakeClock clock(1, 1);
+  FacilityConfig cfg;
+  cfg.clockKind = ClockKind::Fake;
+  cfg.clockOverride = clock.ref();
+  cfg.bufferWords = 64;
+  cfg.buffersPerProcessor = 4;
+  alignas(Facility) unsigned char storage[sizeof(Facility)];
+  auto* a = new (storage) Facility(cfg);
+
+  std::atomic<Facility*> live{a};
+  std::atomic<bool> bound{false};
+  std::atomic<bool> rebuilt{false};
+  const TraceControl* seenByT = nullptr;
+  std::thread t([&] {
+    live.load()->bindCurrentThread(0);
+    bound.store(true);
+    while (!rebuilt.load()) std::this_thread::yield();
+    seenByT = live.load()->currentControl();
+  });
+  while (!bound.load()) std::this_thread::yield();
+  a->~Facility();
+  auto* b = new (storage) Facility(cfg);
+  ASSERT_EQ(static_cast<void*>(b), static_cast<void*>(a));
+  live.store(b);
+  rebuilt.store(true);
+  t.join();
+  EXPECT_EQ(seenByT, nullptr);
+  b->~Facility();
 }
 
 TEST(Facility, FlushAllCompletesEveryProcessor) {
